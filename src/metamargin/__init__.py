@@ -21,6 +21,7 @@ from .complexity import (
     FunctionValueMatrix,
     build_pi1f_restriction,
     dudley_bound,
+    episode_restrictions,
     entropy_integral,
     gaussian_complexity_mc,
     greedy_epsilon_cover,
@@ -31,11 +32,12 @@ from .complexity import (
 from .core import (
     EnvironmentSpec,
     Episode,
+    EpisodeBatch,
     LabeledExample,
-    MetaSample,
     SeedPolicy,
     TaskSpec,
     sample_episode,
+    sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
     sample_task,
@@ -60,6 +62,7 @@ from .learners import (
     FeatureMap,
     LinearScorer,
     NumericError,
+    Selection,
     linear_multimargin_learn,
     linear_softmax_learn,
     make_feature_family,
@@ -72,8 +75,10 @@ from .losses import (
     average_empirical_loss,
     empirical_margin_loss,
     empirical_multi_margin_loss,
+    episode_losses,
     margin,
     margin_loss,
+    margin_terms,
     multi_margin_loss,
 )
 

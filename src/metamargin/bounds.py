@@ -32,6 +32,12 @@ class InfeasibleError(ValueError):
     """No finite per-task sample size can reach the requested accuracy."""
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Parameters shared by the bound evaluators.
@@ -52,6 +58,7 @@ class BoundInputs:
     c0: float = DEFAULT_C0
 
     def __post_init__(self) -> None:
+        _require_finite(rho=self.rho, delta=self.delta, b=self.b, c0=self.c0)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.rho <= 0 or self.b <= 0:
@@ -130,6 +137,7 @@ def constants_c1_c2(b: float, c0: float = DEFAULT_C0) -> tuple[float, float]:
     C1 = 24 sqrt(2 pi) b (1 + sqrt(ln 16e) + 2 sqrt(2))
     C2 = 24 sqrt(2 pi) b (sqrt(ln C0) + sqrt(ln 16e))
     """
+    _require_finite(b=b, c0=c0)
     if b <= 0:
         raise ValueError("b must be > 0")
     if c0 < 1:
@@ -175,6 +183,7 @@ def gaussian_transfer_bound(
     """
     if not 0 <= avg_empirical_margin_loss <= 1:
         raise ValueError("average empirical margin loss must lie in [0, 1]")
+    _require_finite(gamma_meta=gamma_meta, gamma_task=gamma_task)
     if gamma_meta < 0 or gamma_task < 0:
         raise ValueError("gamma estimates must be >= 0")
     coeff_meta = inputs.k * math.sqrt(2.0 * inputs.m * math.pi) / inputs.rho
@@ -198,6 +207,7 @@ def covering_transfer_bound(
     """
     if not 0 <= avg_empirical_margin_loss <= 1:
         raise ValueError("average empirical margin loss must lie in [0, 1]")
+    _require_finite(entropy_meta=entropy_meta, entropy_task=entropy_task)
     if entropy_meta < 0 or entropy_task < 0:
         raise ValueError("entropy integrals must be >= 0")
     lead = 24.0 * inputs.k * math.sqrt(2.0 * math.pi) / inputs.rho
@@ -208,6 +218,7 @@ def covering_transfer_bound(
 def surrogate_multimargin_bound(inputs: BoundInputs, avg_multimargin_loss: float) -> BoundReport:
     """VC bound with the empirical term replaced by (k-1) times the
     average empirical multi-margin loss."""
+    _require_finite(avg_multimargin_loss=avg_multimargin_loss)
     if avg_multimargin_loss < 0:
         raise ValueError("average multi-margin loss must be >= 0")
     vc = vc_transfer_bound(inputs, 0.0)
@@ -226,6 +237,7 @@ def kway_sshot_complexity_term(
         raise ValueError("s and q must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_finite(rho=rho)
     if rho <= 0:
         raise ValueError("rho must be > 0")
     if v < 1:
@@ -243,6 +255,9 @@ def sample_efficiency_min_m(epsilon: float, k: int, v: int, n: float, a: float) 
     reduces to a^2 k^2 v / eps^2. Raises InfeasibleError when
     eps <= a k sqrt(v/n), since then no finite m suffices.
     """
+    _require_finite(epsilon=epsilon, a=a)
+    if math.isnan(n):
+        raise ValueError("n must not be NaN")
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     if k < 1 or v < 1:

@@ -51,6 +51,16 @@ ENV_SEED = "METAMARGIN_SEED"
 ENV_OUTPUT_DIR = "METAMARGIN_OUTPUT_DIR"
 
 
+def _print_json(payload: dict, indent: int | None = None) -> None:
+    """Print strict JSON: a NaN or infinity in the output is a numeric
+    failure, never a JSON extension."""
+    try:
+        text = json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in output: {exc}") from exc
+    print(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metamargin")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,8 +121,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         term = kway_sshot_complexity_term(
             args.k, args.s, args.q, args.n, args.rho, args.v, args.b,
             args.c0 if args.c0 is not None else DEFAULT_C0)
-        print(json.dumps({"kind": "kway_sshot", "m": args.k * (args.s + args.q),
-                          "complexity_term": term}))
+        _print_json({"kind": "kway_sshot", "m": args.k * (args.s + args.q),
+                     "complexity_term": term})
         return 0
     if args.m is None:
         raise ValueError("--m is required for this bound kind")
@@ -125,7 +135,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         report = gaussian_transfer_bound(inputs, args.avg_loss, args.gamma_meta, args.gamma_task)
     else:
         report = covering_transfer_bound(inputs, args.avg_loss, args.entropy_meta, args.entropy_task)
-    print(json.dumps(report.to_json()))
+    _print_json(report.to_json())
     return 0
 
 
@@ -137,22 +147,22 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimator in ("gaussian", "rademacher"):
         fn = gaussian_complexity_mc if args.estimator == "gaussian" else rademacher_complexity_mc
         est = fn(matrix, args.draws, seed)
-        print(json.dumps({"estimator": args.estimator, "mean": est.mean,
-                          "std_error": est.std_error, "draws": est.draws}))
+        _print_json({"estimator": args.estimator, "mean": est.mean,
+                     "std_error": est.std_error, "draws": est.draws})
     elif args.estimator == "massart":
-        print(json.dumps({"estimator": "massart", "value": massart_bound(matrix)}))
+        _print_json({"estimator": "massart", "value": massart_bound(matrix)})
     elif args.estimator == "dudley":
-        print(json.dumps({"estimator": "dudley", "levels": args.levels,
-                          "value": dudley_bound(matrix, args.levels)}))
+        _print_json({"estimator": "dudley", "levels": args.levels,
+                     "value": dudley_bound(matrix, args.levels)})
     elif args.estimator == "entropy":
-        print(json.dumps({"estimator": "entropy", "levels": args.levels,
-                          "value": entropy_integral(matrix, args.levels)}))
+        _print_json({"estimator": "entropy", "levels": args.levels,
+                     "value": entropy_integral(matrix, args.levels)})
     else:
         if args.eps is None:
             raise ValueError("--estimator cover requires --eps")
         centers, size = greedy_epsilon_cover(matrix, args.eps)
-        print(json.dumps({"estimator": "cover", "eps": args.eps,
-                          "size": size, "centers": centers}))
+        _print_json({"estimator": "cover", "eps": args.eps,
+                     "size": size, "centers": centers})
     return 0
 
 
@@ -180,7 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_result_rows(rows, config.output_path)
     summary["output_path"] = config.output_path
     summary["elapsed_s"] = round(time.perf_counter() - start, 3)
-    print(json.dumps(summary, indent=2))
+    _print_json(summary, indent=2)
     return 0
 
 
@@ -193,13 +203,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     rows = sweep(config, args.axis, values)
     write_sweep_rows(rows, config.output_path)
-    print(json.dumps({
+    _print_json({
         "axis": args.axis,
         "values": values,
         "statuses": [r["status"] for r in rows],
         "output_path": config.output_path,
         "elapsed_s": round(time.perf_counter() - start, 3),
-    }, indent=2))
+    }, indent=2)
     return 0
 
 

@@ -20,8 +20,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Episode, MetaSample
-from .learners import BaseLearner, FeatureFamily
+from .core import Episode, EpisodeBatch
+from .learners import BaseLearner, FeatureFamily, require_fitted
 
 # Keep one MC noise chunk below ~64 MB of float64 entries.
 _CHUNK_ELEMENTS = 1 << 23
@@ -44,10 +44,11 @@ class FunctionValueMatrix:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise ValueError("values must be a nonempty 2-D matrix")
-        if self.b <= 0:
-            raise ValueError("b must be > 0")
-        if np.abs(vals).max() > self.b + 1e-9:
-            raise ValueError(f"entries exceed bound b={self.b}")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"b must be finite and > 0, got {self.b}")
+        # the maximum is NaN if any entry is, so this also rejects NaN
+        if not np.abs(vals).max() <= self.b + 1e-9:
+            raise ValueError(f"entries must be finite and within bound b={self.b}")
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != vals.shape[0]:
@@ -117,39 +118,60 @@ class ComplexityEstimate:
             raise ValueError("std_error must be >= 0")
 
 
+def _restriction_values(batch: EpisodeBatch, family: FeatureFamily, base_learner: BaseLearner,
+                        k: int) -> tuple[np.ndarray, list, float, tuple[str, ...]]:
+    """Fit every map on the whole batch: values (k*|family|, n, m), the
+    scorers, their shared bound b and the row labels."""
+    if batch.k != k:
+        raise ValueError("episode class count does not match k")
+    blocks, scorers, labels = [], [], []
+    b = None
+    for phi in family.maps:
+        scorer = base_learner(batch, phi)
+        if b is None:
+            b = float(scorer.b)
+        elif float(scorer.b) != b:
+            raise ValueError("all scorers in a restriction must share the bound b")
+        blocks.append(np.moveaxis(scorer.scores_matrix(batch.xs), -1, 0))  # (k, n, m)
+        scorers.append(scorer)
+        labels.extend(f"y={y}|phi={phi.id}" for y in range(1, k + 1))
+    return np.concatenate(blocks), scorers, b, tuple(labels)
+
+
 def build_pi1f_restriction(
-    data: Union[Episode, MetaSample],
+    data: Union[Episode, EpisodeBatch],
     family: FeatureFamily,
     base_learner: BaseLearner,
     k: int,
 ) -> FunctionValueMatrix:
     """Function values of every (class label, feature map) projection.
 
-    For a single episode the scorer is trained once per feature map and
-    evaluated on the episode's own m points; for a meta-sample one
-    scorer is trained per (map, episode) and the column block for
-    episode l holds that scorer's values on episode l's points. Shape
-    is (k * |family|) x m or (k * |family|) x (n * m).
+    Per feature map one batched fit trains a scorer on each episode;
+    the column block for episode l holds that scorer's values on
+    episode l's own m points. Shape is (k * |family|) x m for a single
+    episode and (k * |family|) x (n * m) for a batch. Raises the
+    base-learner's error if it fails on any episode.
     """
-    episodes = [data] if isinstance(data, Episode) else list(data.episodes)
-    if any(e.k != k for e in episodes):
-        raise ValueError("episode class count does not match k")
-    blocks = []
-    labels = []
-    b = None
-    for phi in family.maps:
-        per_episode = []
-        for episode in episodes:
-            scorer = base_learner(episode, phi)
-            if b is None:
-                b = float(scorer.b)
-            elif float(scorer.b) != b:
-                raise ValueError("all scorers in a restriction must share the bound b")
-            per_episode.append(scorer.scores_matrix(episode.xs).T)  # (k, m)
-        blocks.append(np.concatenate(per_episode, axis=1))
-        labels.extend(f"y={y}|phi={phi.id}" for y in range(1, k + 1))
-    values = np.concatenate(blocks, axis=0)
-    return FunctionValueMatrix(values=values, b=b, labels=tuple(labels))
+    values, scorers, b, labels = _restriction_values(EpisodeBatch.of(data), family, base_learner, k)
+    for scorer in scorers:
+        require_fitted(scorer)
+    return FunctionValueMatrix(values=values.reshape(len(labels), -1), b=b, labels=labels)
+
+
+def episode_restrictions(
+    batch: EpisodeBatch,
+    family: FeatureFamily,
+    base_learner: BaseLearner,
+    k: int,
+) -> list[Optional[FunctionValueMatrix]]:
+    """The single-episode restriction of each episode of the batch, as
+    ``build_pi1f_restriction`` gives it, from one batched fit per map;
+    None for an episode the base-learner failed on for some map."""
+    values, scorers, b, labels = _restriction_values(batch, family, base_learner, k)
+    failed = np.any([scorer.failed for scorer in scorers], axis=0)
+    return [None if failed[l] else
+            FunctionValueMatrix(values=np.ascontiguousarray(values[:, l]), b=b, labels=labels)
+            for l in range(batch.n)]
 
 
 def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:
@@ -218,8 +240,8 @@ def greedy_epsilon_cover(A: FunctionValueMatrix, eps: float) -> tuple[list[int],
     center, so the returned size upper-bounds the minimal covering
     number at eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     centers = _greedy_cover_from_sq_dists(_normalized_sq_dists(A.values), eps)
     return centers, len(centers)
 
@@ -270,6 +292,8 @@ class CoveringNumberBound:
 
 def vc_covering_number_bound(tau: float, v: int, b: float, p: float, c0: float) -> CoveringNumberBound:
     """Covering bound N(tau) <= C0 (v+1) (16e)^(v+1) (b/tau)^(p v)."""
+    if not all(map(math.isfinite, (tau, b, p, c0))):
+        raise ValueError("tau, b, p and C0 must be finite")
     if not 0 < tau <= b:
         raise ValueError(f"tau must lie in (0, b={b}], got {tau}")
     if v < 1:

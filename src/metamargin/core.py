@@ -14,8 +14,9 @@ results do not depend on execution order or parallelism degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,8 +77,58 @@ class LabeledExample:
         object.__setattr__(self, "y", int(self.y))
 
 
+def _checked_arrays(xs, ys, k: int, split: Optional[int], batched: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Validated read-only float64 inputs and int64 labels of one episode
+    (xs (m, d), ys (m,)) or of a stack of them (xs (n, m, d), ys (n, m))."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.int64)
+    lead = 1 if batched else 0
+    if xs.ndim != lead + 2 or ys.ndim != lead + 1 or xs.shape[:-1] != ys.shape:
+        raise ValueError("xs must be (n, m, d) and ys must be (n, m)" if batched
+                         else "xs must be (m, d) and ys must be (m,)")
+    if batched and xs.shape[0] < 1:
+        raise ValueError("a batch needs at least one episode")
+    m = xs.shape[-2]
+    if m < 1:
+        raise ValueError("episode must contain at least one example")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("episode inputs must be finite")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if ys.min() < 1 or ys.max() > k:
+        raise ValueError(f"labels must lie in 1..{k}")
+    if split is not None:
+        s = int(split)
+        if s < 1 or k * s >= m:
+            raise ValueError(f"support size s={s} requires k*s < m={m}")
+        if (m - k * s) % k != 0:
+            raise ValueError(f"m={m} must equal k*(s+q) for integer q >= 1")
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return xs, ys
+
+
+class _Portions:
+    """Support and query portions of an Episode or of every episode of an
+    EpisodeBatch: with a split s, the first k*s examples are support."""
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) of the support portion; everything if unsplit."""
+        if self.split is None:
+            return self.xs, self.ys
+        cut = self.k * self.split
+        return self.xs[..., :cut, :], self.ys[..., :cut]
+
+    def query(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) of the query portion; everything if unsplit."""
+        if self.split is None:
+            return self.xs, self.ys
+        cut = self.k * self.split
+        return self.xs[..., cut:, :], self.ys[..., cut:]
+
+
 @dataclass(frozen=True, eq=False)
-class Episode:
+class Episode(_Portions):
     """m labeled examples from one task, stored as arrays.
 
     xs has shape (m, d_raw) and ys holds integer labels in 1..k. If
@@ -92,28 +143,7 @@ class Episode:
     split: Optional[int] = None
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.int64)
-        if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
-            raise ValueError("xs must be (m, d) and ys must be (m,)")
-        if xs.shape[0] < 1:
-            raise ValueError("episode must contain at least one example")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("episode inputs must be finite")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if ys.min() < 1 or ys.max() > self.k:
-            raise ValueError(f"labels must lie in 1..{self.k}")
-        if self.split is not None:
-            s = int(self.split)
-            m = xs.shape[0]
-            if s < 1 or self.k * s >= m:
-                raise ValueError(f"support size s={s} requires k*s < m={m}")
-            rem = m - self.k * s
-            if rem % self.k != 0:
-                raise ValueError(f"m={m} must equal k*(s+q) for integer q >= 1")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
+        xs, ys = _checked_arrays(self.xs, self.ys, self.k, self.split, batched=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -125,48 +155,57 @@ class Episode:
     def examples(self) -> list[LabeledExample]:
         return [LabeledExample(x, int(y)) for x, y in zip(self.xs, self.ys)]
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) of the support portion; the full episode if unsplit."""
-        if self.split is None:
-            return self.xs, self.ys
-        cut = self.k * self.split
-        return self.xs[:cut], self.ys[:cut]
-
-    def query(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) of the query portion; the full episode if unsplit."""
-        if self.split is None:
-            return self.xs, self.ys
-        cut = self.k * self.split
-        return self.xs[cut:], self.ys[cut:]
-
 
 @dataclass(frozen=True, eq=False)
-class MetaSample:
-    """n episodes, one per independently drawn task, with shared m and k."""
+class EpisodeBatch(_Portions):
+    """n episodes of one shape, stacked along a leading episode axis.
 
-    episodes: tuple[Episode, ...]
+    xs has shape (n, m, d_raw) and ys (n, m), labels in 1..k; ``split``
+    means what it means for an Episode and holds for every episode. A
+    meta-sample is a batch whose episodes come from n independently
+    drawn tasks. Inputs and labels are validated once, on the stack.
+    Indexing gives episode i as an Episode.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    k: int
+    split: Optional[int] = None
 
     def __post_init__(self) -> None:
-        eps = tuple(self.episodes)
-        if len(eps) < 1:
-            raise ValueError("meta-sample needs at least one episode")
-        m0, k0 = eps[0].m, eps[0].k
-        for e in eps:
-            if e.m != m0 or e.k != k0:
-                raise ValueError("all episodes must share identical m and k")
-        object.__setattr__(self, "episodes", eps)
+        xs, ys = _checked_arrays(self.xs, self.ys, self.k, self.split, batched=True)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+
+    @classmethod
+    def stack(cls, episodes) -> "EpisodeBatch":
+        """Stack episodes that share m, k and split."""
+        eps = tuple(episodes)
+        if not eps:
+            raise ValueError("a batch needs at least one episode")
+        first = eps[0]
+        if any((e.m, e.k, e.split) != (first.m, first.k, first.split) for e in eps):
+            raise ValueError("all episodes must share identical m, k and split")
+        return cls(np.stack([e.xs for e in eps]), np.stack([e.ys for e in eps]), first.k, first.split)
+
+    @classmethod
+    def of(cls, data: "Episode | EpisodeBatch") -> "EpisodeBatch":
+        """``data`` itself if it is a batch, else a batch of that one episode."""
+        return data if isinstance(data, EpisodeBatch) else cls.stack([data])
 
     @property
     def n(self) -> int:
-        return len(self.episodes)
+        return self.xs.shape[0]
 
     @property
     def m(self) -> int:
-        return self.episodes[0].m
+        return self.xs.shape[1]
 
-    @property
-    def k(self) -> int:
-        return self.episodes[0].k
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> Episode:
+        return Episode(xs=self.xs[i], ys=self.ys[i], k=self.k, split=self.split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +252,10 @@ class EnvironmentSpec:
     def __post_init__(self) -> None:
         if self.d_raw < 1 or self.k < 1:
             raise ValueError("d_raw and k must be positive integers")
-        if self.prototype_scale < 0:
-            raise ValueError("prototype_scale must be >= 0")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be > 0")
+        if not (math.isfinite(self.prototype_scale) and self.prototype_scale >= 0):
+            raise ValueError(f"prototype_scale must be finite and >= 0, got {self.prototype_scale}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
+            raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
 
     def to_json(self) -> dict:
         return {
@@ -238,13 +277,8 @@ class EnvironmentSpec:
         )
 
 
-def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
-    """Draw one task from the environment.
-
-    Prototypes are i.i.d. centered Gaussian with per-coordinate std
-    ``prototype_scale``; class probabilities are uniform when the
-    environment is balanced and a flat Dirichlet draw otherwise.
-    """
+def _task_arrays(env: EnvironmentSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prototypes (k, d_raw) and class probabilities (k,) of one task."""
     rng = np.random.default_rng(seed)
     protos = rng.normal(0.0, 1.0, size=(env.k, env.d_raw)) * env.prototype_scale
     if env.balanced:
@@ -252,6 +286,36 @@ def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
     else:
         probs = rng.dirichlet(np.ones(env.k))
         probs = probs / probs.sum()
+    return protos, probs
+
+
+def _kway_labels(k: int, s: int, q: int) -> np.ndarray:
+    """Labels of a k-way episode: s then q per class, each block class-major."""
+    classes = np.arange(1, k + 1)
+    return np.concatenate([np.repeat(classes, s), np.repeat(classes, q)])
+
+
+def _episode_arrays(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
+                    ys: Optional[np.ndarray], seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of one episode: the given labels, or m i.i.d. labels drawn
+    from probs when ys is None, each point its prototype plus noise."""
+    # A k-way episode's support and query noise come from one draw; the
+    # generator yields the same numbers as drawing the two blocks in turn.
+    rng = np.random.default_rng(seed)
+    if ys is None:
+        ys = rng.choice(probs.shape[0], size=m, p=probs) + 1
+    noise = rng.normal(0.0, sigma, size=(ys.shape[0], protos.shape[1]))
+    return protos[ys - 1] + noise, ys
+
+
+def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
+    """Draw one task from the environment.
+
+    Prototypes are i.i.d. centered Gaussian with per-coordinate std
+    ``prototype_scale``; class probabilities are uniform when the
+    environment is balanced and a flat Dirichlet draw otherwise.
+    """
+    protos, probs = _task_arrays(env, seed)
     return TaskSpec(prototypes=protos, noise_sigma=env.noise_sigma, class_probs=probs)
 
 
@@ -259,10 +323,7 @@ def sample_episode(task: TaskSpec, m: int, seed: int) -> Episode:
     """Draw m i.i.d. labeled examples from the task."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    ys = rng.choice(task.k, size=m, p=task.class_probs) + 1
-    noise = rng.normal(0.0, task.noise_sigma, size=(m, task.d_raw))
-    xs = task.prototypes[ys - 1] + noise
+    xs, ys = _episode_arrays(task.prototypes, task.class_probs, task.noise_sigma, m, None, seed)
     return Episode(xs=xs, ys=ys, k=task.k)
 
 
@@ -276,18 +337,54 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
         raise ValueError(f"task has {task.k} classes, expected {k}")
     if s < 1 or q < 1:
         raise ValueError(f"s and q must be >= 1, got s={s}, q={q}")
-    rng = np.random.default_rng(seed)
-
-    def _block(per_class: int) -> tuple[np.ndarray, np.ndarray]:
-        ys = np.repeat(np.arange(1, k + 1), per_class)
-        noise = rng.normal(0.0, task.noise_sigma, size=(k * per_class, task.d_raw))
-        return task.prototypes[ys - 1] + noise, ys
-
-    sup_x, sup_y = _block(s)
-    qry_x, qry_y = _block(q)
-    xs = np.concatenate([sup_x, qry_x], axis=0)
-    ys = np.concatenate([sup_y, qry_y])
+    xs, ys = _episode_arrays(task.prototypes, task.class_probs, task.noise_sigma, k * (s + q),
+                             _kway_labels(k, s, q), seed)
     return Episode(xs=xs, ys=ys, k=k, split=s)
+
+
+# One episode per task: its size m, and (s, q) for a k-way s-shot
+# episode with m = k*(s+q) or None for m i.i.d. examples.
+EpisodePlan = tuple[int, Optional[tuple[int, int]]]
+
+
+def sample_episode_batches(
+    env: EnvironmentSpec,
+    count: int,
+    seed: int,
+    plan: Sequence[EpisodePlan],
+) -> tuple[EpisodeBatch, ...]:
+    """Draw ``count`` independent tasks and, from each, one episode per
+    plan entry; returns one batch per plan entry.
+
+    Unit l derives its seeds from child l of ``seed``: the task from
+    child 0, the episode of plan entry i from child i+1. Each batch is
+    bit-identical to stacking ``sample_episode`` or
+    ``sample_kway_sshot_episode`` on ``sample_task`` with those seeds,
+    but no per-task or per-episode object is built.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    for m, shape in plan:
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if shape is not None:
+            s, q = shape
+            if s < 1 or q < 1:
+                raise ValueError(f"s and q must be >= 1, got s={s}, q={q}")
+            if m != env.k * (s + q):
+                raise ValueError(f"m={m} must equal k*(s+q)={env.k * (s + q)}")
+    sigma = max(float(env.noise_sigma), MIN_NOISE_SIGMA)  # as TaskSpec clamps it
+    labels = [None if shape is None else _kway_labels(env.k, *shape) for _, shape in plan]
+    xs = [np.empty((count, m, env.d_raw)) for m, _ in plan]
+    ys = [np.empty((count, m), dtype=np.int64) for m, _ in plan]
+    policy = SeedPolicy(seed)
+    for l in range(count):
+        unit = SeedPolicy(policy.child(l))
+        protos, probs = _task_arrays(env, unit.child(0))
+        for i, (m, _) in enumerate(plan):
+            xs[i][l], ys[i][l] = _episode_arrays(protos, probs, sigma, m, labels[i], unit.child(i + 1))
+    return tuple(EpisodeBatch(x, y, env.k, None if shape is None else shape[0])
+                 for x, y, (_, shape) in zip(xs, ys, plan))
 
 
 def sample_meta_sample(
@@ -296,7 +393,7 @@ def sample_meta_sample(
     m: int,
     seed: int,
     shape: Optional[tuple[int, int]] = None,
-) -> MetaSample:
+) -> EpisodeBatch:
     """Draw n independent (task, episode) pairs; only the episodes are kept.
 
     With ``shape=(s, q)`` the episodes are k-way s-shot with m = k*(s+q);
@@ -304,17 +401,4 @@ def sample_meta_sample(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if shape is not None:
-        s, q = shape
-        if m != env.k * (s + q):
-            raise ValueError(f"m={m} must equal k*(s+q)={env.k * (s + q)}")
-    policy = SeedPolicy(seed)
-    episodes = []
-    for l in range(n):
-        unit = SeedPolicy(policy.child(l))
-        task = sample_task(env, unit.child(0))
-        if shape is None:
-            episodes.append(sample_episode(task, m, unit.child(1)))
-        else:
-            episodes.append(sample_kway_sshot_episode(task, env.k, shape[0], shape[1], unit.child(1)))
-    return MetaSample(episodes=tuple(episodes))
+    return sample_episode_batches(env, n, seed, [(m, shape)])[0]

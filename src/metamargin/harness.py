@@ -30,16 +30,13 @@ from .bounds import (
     surrogate_multimargin_bound,
     vc_transfer_bound,
 )
-from .complexity import build_pi1f_restriction, entropy_integral, gaussian_complexity_mc
-from .core import (
-    EnvironmentSpec,
-    Episode,
-    SeedPolicy,
-    sample_episode,
-    sample_kway_sshot_episode,
-    sample_meta_sample,
-    sample_task,
+from .complexity import (
+    build_pi1f_restriction,
+    entropy_integral,
+    episode_restrictions,
+    gaussian_complexity_mc,
 )
+from .core import EnvironmentSpec, SeedPolicy, sample_episode_batches, sample_meta_sample
 from .learners import (
     BaseLearner,
     FeatureFamily,
@@ -50,13 +47,9 @@ from .learners import (
     make_feature_family,
     meta_erm_select,
     nearest_centroid_learn,
+    require_fitted,
 )
-from .losses import (
-    LOSS_KINDS,
-    empirical_margin_loss,
-    empirical_multi_margin_loss,
-    margin_loss_array,
-)
+from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
@@ -256,12 +249,6 @@ def make_base_learner(spec: LearnerSpec, rho: float, b: float) -> BaseLearner:
     return lambda ep, phi: linear_softmax_learn(ep, phi, spec.lam, spec.steps, spec.step_size, b)
 
 
-def _draw_training_episode(task, m: int, shape: Optional[tuple[int, int]], seed: int) -> Episode:
-    if shape is None:
-        return sample_episode(task, m, seed)
-    return sample_kway_sshot_episode(task, task.k, shape[0], shape[1], seed)
-
-
 @dataclass(frozen=True)
 class TransferRiskEstimate:
     """Monte Carlo estimate of transfer risk for a fixed feature map."""
@@ -289,44 +276,29 @@ def estimate_transfer_risk(
 
     Per task draw: sample a task, a training episode of size m, and
     test_points i.i.d. test pairs; train the base-learner with phi
-    frozen and average the ramp loss over the test pairs. Failed draws
-    (a learner error) are excluded and counted. The standard error
-    pools all per-point losses; 0-1 accuracy rides along.
+    frozen and average the ramp loss over the test pairs. All draws
+    are fitted and scored as one batch. Failed draws (episodes the
+    learner flags) are excluded and counted. The standard error pools
+    all per-point losses; 0-1 accuracy rides along.
     """
     if task_draws < 1 or test_points < 1:
         raise ValueError("task_draws and test_points must be >= 1")
     if env.k < 2:
         raise ValueError("transfer risk needs k >= 2 (margins are undefined otherwise)")
-    policy = SeedPolicy(seed)
-    losses: list[np.ndarray] = []
-    hits: list[np.ndarray] = []
-    failures = 0
-    for j in range(task_draws):
-        unit = SeedPolicy(policy.child(j))
-        task = sample_task(env, unit.child(0))
-        try:
-            train_ep = _draw_training_episode(task, m, shape, unit.child(1))
-            scorer = base_learner(train_ep, phi)
-        except (ValueError, NumericError):
-            failures += 1
-            continue
-        test_ep = sample_episode(task, test_points, unit.child(2))
-        scores = scorer.scores_matrix(test_ep.xs)
-        idx = np.arange(test_ep.m)
-        true = scores[idx, test_ep.ys - 1]
-        masked = scores.copy()
-        masked[idx, test_ep.ys - 1] = -np.inf
-        margins = true - masked.max(axis=1)
-        losses.append(margin_loss_array(rho, margins))
-        hits.append(scores.argmax(axis=1) + 1 == test_ep.ys)
-    if not losses:
+    train, test = sample_episode_batches(env, task_draws, seed, [(m, shape), (test_points, None)])
+    scorer = base_learner(train, phi)
+    ok = ~scorer.failed
+    if not ok.any():
         raise NumericError("all transfer-risk draws failed")
-    pooled = np.concatenate(losses)
-    accuracy = float(np.concatenate(hits).mean())
+    scores = scorer[ok].scores_matrix(test.xs[ok])
+    ys = test.ys[ok]
+    margins, _ = margin_terms(scores, ys, rho)
+    pooled = margin_loss_array(rho, margins).ravel()
+    accuracy = float((scores.argmax(axis=-1) + 1 == ys).mean())
     se = float(pooled.std(ddof=1) / math.sqrt(pooled.size)) if pooled.size > 1 else 0.0
     return TransferRiskEstimate(
         risk=float(pooled.mean()), std_error=se, accuracy=accuracy,
-        task_draws=task_draws, test_points=test_points, failures=failures,
+        task_draws=task_draws, test_points=test_points, failures=int(task_draws - ok.sum()),
     )
 
 
@@ -338,18 +310,13 @@ def query_split_accuracy(
     episodes: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Mean 0-1 accuracy on the query split over fresh test episodes."""
+    """Mean 0-1 accuracy on the query split over fresh test episodes,
+    fitted and scored as one batch."""
     s, q = shape
-    policy = SeedPolicy(seed)
-    accs = np.empty(episodes)
-    for j in range(episodes):
-        unit = SeedPolicy(policy.child(j))
-        task = sample_task(env, unit.child(0))
-        episode = sample_kway_sshot_episode(task, env.k, s, q, unit.child(1))
-        scorer = base_learner(episode, phi)
-        qx, qy = episode.query()
-        preds = scorer.scores_matrix(qx).argmax(axis=1) + 1
-        accs[j] = float((preds == qy).mean())
+    batch = sample_meta_sample(env, episodes, env.k * (s + q), seed, shape)
+    scorer = require_fitted(base_learner(batch, phi))
+    qx, qy = batch.query()
+    accs = (scorer.scores_matrix(qx).argmax(axis=-1) + 1 == qy).mean(axis=-1)
     se = float(accs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return float(accs.mean()), se
 
@@ -369,21 +336,20 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
     """Average complexity inputs over fresh outer draws.
 
     Draws where a learner fails (e.g. a class missing from an i.i.d.
-    episode) are skipped; at least one draw must succeed per level.
+    episode) are skipped; at least one draw must succeed per level. The
+    single-task draws are fitted as one batch.
     """
     env, bound = config.environment, config.bound
     policy = SeedPolicy(seed)
     task_root = SeedPolicy(policy.child(0))
+    tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, task_root.master_seed,
+                               config.episode_shape)
     gamma_task = entropy_task = 0.0
     task_ok = 0
-    for j in range(config.outer_task_draws):
-        unit = SeedPolicy(task_root.child(j))
-        task = sample_task(env, unit.child(0))
-        try:
-            episode = _draw_training_episode(task, bound.m, config.episode_shape, unit.child(1))
-            A = build_pi1f_restriction(episode, family, base_learner, bound.k)
-        except (ValueError, NumericError):
+    for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k)):
+        if A is None:
             continue
+        unit = SeedPolicy(task_root.child(j))
         gamma_task += max(0.0, gaussian_complexity_mc(A, config.mc_draws, unit.child(2)).mean)
         entropy_task += entropy_integral(A, config.dudley_levels)
         task_ok += 1
@@ -485,14 +451,10 @@ def _run_trial(trial: int, config: ExperimentConfig, family: FeatureFamily,
     unit = SeedPolicy(trial_seed)
 
     meta = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
-    chosen, _ = meta_erm_select(meta, family, base_learner, bound.rho, config.loss_kind)
-    avg_margin = avg_multi = 0.0
-    for episode in meta.episodes:
-        scorer = base_learner(episode, chosen)
-        avg_margin += empirical_margin_loss(scorer, episode, bound.rho)
-        avg_multi += empirical_multi_margin_loss(scorer, episode, bound.rho)
-    avg_margin /= meta.n
-    avg_multi /= meta.n
+    selection = meta_erm_select(meta, family, base_learner, bound.rho, config.loss_kind)
+    chosen = selection.chosen
+    avg_margin = float(selection.margin[selection.index].mean())
+    avg_multi = float(selection.multi_margin[selection.index].mean())
 
     risk = estimate_transfer_risk(
         env, chosen, base_learner, bound.rho, bound.m,
@@ -679,5 +641,6 @@ def write_sweep_rows(rows: Sequence[dict], path: str) -> None:
         for row in rows:
             fields = [row["axis"], _fmt(row["value"]), row["status"], str(row.get("trials", 0))]
             fields += [_fmt(row[c]) if c in row else "" for c in numeric]
-            fields.append(str(row.get("error", "")).replace(",", ";"))
+            error = str(row.get("error", ""))
+            fields.append(error.replace(",", ";").replace("\r", " ").replace("\n", " "))
             handle.write(",".join(fields) + "\n")

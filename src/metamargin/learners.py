@@ -1,12 +1,13 @@
 """Base-learners over fixed feature maps, and empirical-risk selection
 of a feature map from a finite family.
 
-A base-learner turns one episode into a scoring function while the
-feature map stays frozen. Two base-learners are provided: a nearest
-centroid scorer (metric style) and a linear scorer trained with
-subgradient descent on the multi-margin objective (classifier style).
-A softmax cross-entropy objective for the linear scorer is included
-only as a comparison objective for loss-swap experiments.
+A base-learner turns episodes into scoring functions while the feature
+map stays frozen, fitting a whole batch of episodes at once. Two
+base-learners are provided: a nearest centroid scorer (metric style)
+and a linear scorer trained with subgradient descent on the
+multi-margin objective (classifier style). A softmax cross-entropy
+objective for the linear scorer is included only as a comparison
+objective for loss-swap experiments.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Episode, MetaSample
-from .losses import ScoringFunction, empirical_margin_loss, empirical_multi_margin_loss, LOSS_KINDS
+from .core import Episode, EpisodeBatch
+from .losses import LOSS_KINDS, ScoringFunction, episode_losses, margin_terms
 
 FEATURE_KINDS = ("identity", "random_linear", "random_relu")
 
@@ -127,42 +128,103 @@ def make_feature_family(
     return FeatureFamily(maps=tuple(maps))
 
 
-# A base-learner maps (episode, feature map) to a trained scorer.
-BaseLearner = Callable[[Episode, FeatureMap], ScoringFunction]
+# A base-learner maps a batch of episodes and a frozen feature map to one
+# scorer over the batch (see ScoringFunction): every episode is fitted at
+# once, and the episodes it cannot fit are flagged, not raised.
+BaseLearner = Callable[[EpisodeBatch, FeatureMap], ScoringFunction]
+
+
+def _features(phi: FeatureMap, xs: np.ndarray) -> np.ndarray:
+    """phi applied to inputs (..., m, d_raw), giving (..., m, d)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return phi.apply_matrix(xs.reshape(-1, xs.shape[-1])).reshape(xs.shape[:-1] + (phi.d,))
+
+
+def _onehot(ys: np.ndarray, k: int) -> np.ndarray:
+    """(..., m) labels in 1..k as (..., m, k) float indicators."""
+    return (ys[..., None] == np.arange(1, k + 1)).astype(np.float64)
+
+
+def require_fitted(scorer: ScoringFunction) -> ScoringFunction:
+    """``scorer``, unless its base-learner failed on some episode of the
+    batch; then the learner's error is raised."""
+    if np.any(scorer.failed):
+        raise scorer.fit_error()
+    return scorer
+
+
+def _fitted(scorer: ScoringFunction, data: Episode | EpisodeBatch) -> ScoringFunction:
+    # A single episode is fitted as a batch of one and unwrapped.
+    return scorer if isinstance(data, EpisodeBatch) else require_fitted(scorer)[0]
 
 
 class CentroidScorer(ScoringFunction):
-    """Scores by normalized negative distance to class centroids."""
+    """Scores by normalized negative distance to class centroids.
 
-    def __init__(self, centroids: np.ndarray, scale: float, b: float, phi: FeatureMap):
+    centroids has shape (n, k, d) and scale (n,) for a scorer fitted on
+    a batch of n episodes; a single episode's scorer has no leading
+    axis and scores (m, d_raw) inputs. Indexing selects one episode's
+    scorer (an int) or a sub-batch (a mask).
+    """
+
+    def __init__(self, centroids: np.ndarray, scale, b: float, phi: FeatureMap,
+                 failed: Optional[np.ndarray] = None):
         self.centroids = np.asarray(centroids, dtype=np.float64)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=np.float64)
         self.b = float(b)
         self.phi = phi
+        lead = self.centroids.shape[:-2]
+        self.failed = np.zeros(lead, dtype=bool) if failed is None else np.asarray(failed, dtype=bool)
+
+    def __getitem__(self, index) -> "CentroidScorer":
+        return CentroidScorer(self.centroids[index], self.scale[index], self.b, self.phi,
+                              self.failed[index])
+
+    def fit_error(self) -> Exception:
+        return ValueError("a class is missing from the training portion; centroid undefined")
 
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
-        feats = self.phi.apply_matrix(xs)
-        diffs = feats[:, None, :] - self.centroids[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
-        return np.clip(-dists / self.scale, -self.b, self.b)
+        feats = _features(self.phi, xs)
+        k = self.centroids.shape[-2]
+        dists = np.empty(feats.shape[:-1] + (k,))
+        # One class at a time: the difference tensor stays (..., m, d).
+        for c in range(k):
+            diff = feats - self.centroids[..., c, None, :]
+            dists[..., c] = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+        return np.clip(-dists / self.scale[..., None, None], -self.b, self.b)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return self.scores_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 class LinearScorer(ScoringFunction):
-    """Linear class scores W phi(x), clamped to [-b, b]."""
+    """Linear class scores W phi(x), clamped to [-b, b].
+
+    W has shape (n, k, d) and loss_history (steps, n) for a scorer
+    fitted on a batch of n episodes; a single episode's scorer has no
+    episode axis. Indexing selects one episode's scorer (an int) or a
+    sub-batch (a mask).
+    """
 
     def __init__(self, W: np.ndarray, b: float, phi: FeatureMap,
-                 loss_history: tuple[float, ...] = ()):
+                 loss_history=(), failed: Optional[np.ndarray] = None):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = float(b)
         self.phi = phi
-        self.loss_history = tuple(loss_history)
+        self.loss_history = np.asarray(loss_history, dtype=np.float64)
+        lead = self.W.shape[:-2]
+        self.failed = np.zeros(lead, dtype=bool) if failed is None else np.asarray(failed, dtype=bool)
+
+    def __getitem__(self, index) -> "LinearScorer":
+        return LinearScorer(self.W[index], self.b, self.phi, self.loss_history[:, index],
+                            self.failed[index])
+
+    def fit_error(self) -> Exception:
+        return NumericError("non-finite training loss or weights in linear learner")
 
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
-        feats = self.phi.apply_matrix(xs)
-        return np.clip(feats @ self.W.T, -self.b, self.b)
+        feats = _features(self.phi, xs)
+        return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return self.scores_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
@@ -172,158 +234,163 @@ class LinearScorer(ScoringFunction):
             "W": self.W.tolist(),
             "b": self.b,
             "feature_map": self.phi.id,
-            "loss_history": list(self.loss_history),
+            "loss_history": self.loss_history.tolist(),
         }
 
 
-def _training_view(episode: Episode) -> tuple[np.ndarray, np.ndarray]:
-    # Train on the support portion when the episode carries a split;
-    # loss evaluation elsewhere always uses the full episode.
-    return episode.support()
-
-
-def nearest_centroid_learn(episode: Episode, phi: FeatureMap, b: float) -> CentroidScorer:
-    """Fit per-class centroids in feature space.
+def nearest_centroid_learn(episode: Episode | EpisodeBatch, phi: FeatureMap, b: float) -> CentroidScorer:
+    """Fit per-class centroids in feature space, on every episode of a
+    batch at once.
 
     score(x, y) = clamp(-||phi(x) - c_y|| / s, -b, b) where s is the
-    median pairwise centroid distance (1 if degenerate). Every class
-    must appear in the training portion of the episode.
+    median pairwise centroid distance (1 if degenerate). Centroids are
+    fitted on the training (support) portion; an episode missing a
+    class there is flagged in ``failed``. A single Episode is fitted as
+    a batch of one and a missing class raises ValueError.
     """
     if b <= 0:
         raise ValueError("b must be > 0")
-    xs, ys = _training_view(episode)
-    feats = phi.apply_matrix(xs)
-    centroids = np.empty((episode.k, phi.d))
-    for y in range(1, episode.k + 1):
-        mask = ys == y
-        if not np.any(mask):
-            raise ValueError(f"class {y} missing from training portion; centroid undefined")
-        centroids[y - 1] = feats[mask].mean(axis=0)
-    if episode.k >= 2:
-        iu = np.triu_indices(episode.k, k=1)
-        pairwise = np.linalg.norm(centroids[iu[0]] - centroids[iu[1]], axis=1)
-        scale = float(np.median(pairwise))
+    batch = EpisodeBatch.of(episode)
+    xs, ys = batch.support()
+    k = batch.k
+    onehot = _onehot(ys, k)
+    counts = onehot.sum(axis=1)
+    sums = np.swapaxes(onehot, 1, 2) @ _features(phi, xs)
+    centroids = sums / np.maximum(counts, 1.0)[..., None]
+    if k >= 2:
+        iu = np.triu_indices(k, k=1)
+        pairwise = np.linalg.norm(centroids[:, iu[0]] - centroids[:, iu[1]], axis=-1)
+        scale = np.median(pairwise, axis=-1)
     else:
-        scale = 0.0
-    if scale <= 0.0:
-        scale = 1.0
-    return CentroidScorer(centroids=centroids, scale=scale, b=b, phi=phi)
+        scale = np.zeros(batch.n)
+    scale[scale <= 0.0] = 1.0
+    scorer = CentroidScorer(centroids, scale, b, phi, failed=(counts == 0).any(axis=1))
+    return _fitted(scorer, episode)
 
 
 def linear_multimargin_learn(
-    episode: Episode,
+    episode: Episode | EpisodeBatch,
     phi: FeatureMap,
     rho: float,
     lam: float,
     steps: int,
     step_size: float,
     b: float,
-    seed: int = 0,
 ) -> LinearScorer:
-    """Train W by subgradient descent on multi-margin loss + lam ||W||^2.
+    """Train W by subgradient descent on multi-margin loss + lam ||W||^2,
+    on every episode of a batch at once.
 
-    W starts at zero so the learner is deterministic; ``seed`` is kept
-    in the signature for future stochastic variants but draws nothing
-    with full-batch updates. The per-step objective values are recorded
-    on the returned scorer.
+    W starts at zero so the learner is deterministic. The per-step
+    objective values are recorded on the returned scorer. An episode
+    whose objective or weights turn non-finite is flagged in
+    ``failed``; for a single Episode that raises NumericError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if rho <= 0 or lam < 0 or b <= 0:
         raise ValueError("need rho > 0, lam >= 0, b > 0")
-    if episode.k < 2:
+    batch = EpisodeBatch.of(episode)
+    if batch.k < 2:
         raise ValueError("linear learner needs k >= 2")
-    del seed
-    xs, ys = _training_view(episode)
-    feats = phi.apply_matrix(xs)
-    m, d = feats.shape
-    k = episode.k
-    idx = np.arange(m)
-    onehot_col = ys - 1
-
-    W = np.zeros((k, d))
-    history = []
-    for _ in range(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = feats @ W.T
-            true = scores[idx, onehot_col]
-            hinges = np.maximum(0.0, 1.0 - (true[:, None] - scores) / rho)
-            hinges[idx, onehot_col] = 0.0
-            loss = float(hinges.sum() / ((k - 1) * m) + lam * float((W * W).sum()))
-        if not np.isfinite(loss):
-            raise NumericError("non-finite training loss in linear multi-margin learner")
-        history.append(loss)
-        active = (hinges > 0).astype(np.float64)
-        grad = active.T @ feats
-        # true-class rows collect -phi_i once per active hinge of example i
-        np.subtract.at(grad, onehot_col, active.sum(axis=1)[:, None] * feats)
-        grad /= rho * (k - 1) * m
-        grad += 2.0 * lam * W
-        W -= step_size * grad
-    if not np.all(np.isfinite(W)):
-        raise NumericError("non-finite weights in linear multi-margin learner")
-    return LinearScorer(W=W, b=b, phi=phi, loss_history=tuple(history))
+    xs, ys = batch.support()
+    feats = _features(phi, xs)
+    n, m, d = feats.shape
+    k = batch.k
+    onehot = _onehot(ys, k)
+    W = np.zeros((n, k, d))
+    history = np.empty((steps, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            _, hinges = margin_terms(feats @ np.swapaxes(W, 1, 2), ys, rho)
+            history[t] = hinges.sum(axis=(1, 2)) / ((k - 1) * m) + lam * (W * W).sum(axis=(1, 2))
+            active = (hinges > 0).astype(np.float64)
+            # Competitor rows gain phi_i per active hinge; the true-class
+            # row loses phi_i once per active hinge of example i.
+            coef = active - onehot * active.sum(axis=2, keepdims=True)
+            grad = np.swapaxes(coef, 1, 2) @ feats
+            grad /= rho * (k - 1) * m
+            grad += 2.0 * lam * W
+            W -= step_size * grad
+    failed = ~np.isfinite(history).all(axis=0) | ~np.isfinite(W).all(axis=(1, 2))
+    return _fitted(LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed), episode)
 
 
 def linear_softmax_learn(
-    episode: Episode,
+    episode: Episode | EpisodeBatch,
     phi: FeatureMap,
     lam: float,
     steps: int,
     step_size: float,
     b: float,
-    seed: int = 0,
 ) -> LinearScorer:
-    """Cross-entropy comparator: gradient descent on softmax NLL + L2."""
+    """Cross-entropy comparator: gradient descent on softmax NLL + L2, on
+    every episode of a batch at once. An episode whose objective turns
+    non-finite is flagged in ``failed``; for a single Episode that
+    raises NumericError."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lam < 0 or b <= 0:
         raise ValueError("need lam >= 0, b > 0")
-    del seed
-    xs, ys = _training_view(episode)
-    feats = phi.apply_matrix(xs)
-    m, d = feats.shape
-    k = episode.k
-    idx = np.arange(m)
-    W = np.zeros((k, d))
-    history = []
-    for _ in range(steps):
-        scores = feats @ W.T
-        scores -= scores.max(axis=1, keepdims=True)
-        expd = np.exp(scores)
-        probs = expd / expd.sum(axis=1, keepdims=True)
-        nll = -np.log(np.maximum(probs[idx, ys - 1], 1e-300))
-        loss = float(nll.mean() + lam * float((W * W).sum()))
-        if not np.isfinite(loss):
-            raise NumericError("non-finite training loss in softmax learner")
-        history.append(loss)
-        resid = probs
-        resid[idx, ys - 1] -= 1.0
-        grad = resid.T @ feats / m + 2.0 * lam * W
-        W -= step_size * grad
-    return LinearScorer(W=W, b=b, phi=phi, loss_history=tuple(history))
+    batch = EpisodeBatch.of(episode)
+    xs, ys = batch.support()
+    feats = _features(phi, xs)
+    n, m, d = feats.shape
+    onehot = _onehot(ys, batch.k)
+    col = ys[..., None] - 1
+    W = np.zeros((n, batch.k, d))
+    history = np.empty((steps, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            scores = feats @ np.swapaxes(W, 1, 2)
+            scores -= scores.max(axis=2, keepdims=True)
+            expd = np.exp(scores)
+            probs = expd / expd.sum(axis=2, keepdims=True)
+            nll = -np.log(np.maximum(np.take_along_axis(probs, col, axis=2)[..., 0], 1e-300))
+            history[t] = nll.mean(axis=1) + lam * (W * W).sum(axis=(1, 2))
+            grad = np.swapaxes(probs - onehot, 1, 2) @ feats / m + 2.0 * lam * W
+            W -= step_size * grad
+    failed = ~np.isfinite(history).all(axis=0)
+    return _fitted(LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed), episode)
+
+
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """What meta_erm_select found.
+
+    ``margin`` and ``multi_margin`` hold the empirical ramp and
+    multi-margin loss of every (map, episode) pair, shape
+    (|family|, n), maps in family order; ``losses`` is the per-map
+    average of the one selection minimized. ``chosen`` is
+    ``family.maps[index]``.
+    """
+
+    chosen: FeatureMap
+    index: int
+    margin: np.ndarray
+    multi_margin: np.ndarray
+    losses: np.ndarray
 
 
 def meta_erm_select(
-    meta_sample: MetaSample,
+    meta_sample: EpisodeBatch,
     family: FeatureFamily,
     base_learner: BaseLearner,
     rho: float,
     loss_kind: str = "margin",
-) -> tuple[FeatureMap, list[float]]:
+) -> Selection:
     """Pick the feature map with minimal average empirical loss.
 
-    Returns the chosen map and the per-map average losses in family
-    order. Ties are broken by the lexicographically smallest map id.
+    Each map's base-learner fits all n episodes at once; a failure on
+    any episode raises. Ties are broken by the lexicographically
+    smallest map id.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
-    per_episode = empirical_margin_loss if loss_kind == "margin" else empirical_multi_margin_loss
-    losses = []
-    for phi in family.maps:
-        total = 0.0
-        for episode in meta_sample.episodes:
-            total += per_episode(base_learner(episode, phi), episode, rho)
-        losses.append(total / meta_sample.n)
-    best = min(range(len(family.maps)), key=lambda i: (losses[i], family.maps[i].id))
-    return family.maps[best], losses
+    margin = np.empty((len(family), meta_sample.n))
+    multi = np.empty_like(margin)
+    for i, phi in enumerate(family.maps):
+        scorer = require_fitted(base_learner(meta_sample, phi))
+        margin[i], multi[i] = episode_losses(scorer.scores_matrix(meta_sample.xs), meta_sample.ys, rho)
+    losses = (margin if loss_kind == "margin" else multi).mean(axis=1)
+    best = min(range(len(family)), key=lambda i: (losses[i], family.maps[i].id))
+    return Selection(family.maps[best], best, margin, multi, losses)

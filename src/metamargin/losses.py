@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Episode, MetaSample
+from .core import Episode, EpisodeBatch
 
 LOSS_KINDS = ("margin", "multimargin")
 
@@ -35,7 +35,10 @@ class ScoringFunction:
     """Bounded class-score map. Subclasses implement ``scores``.
 
     ``b`` is the score bound: concrete scorers clamp their outputs so
-    that |score(x, y)| <= b always holds.
+    that |score(x, y)| <= b always holds. A scorer fitted on a batch of
+    n episodes maps (n, m, d_raw) inputs to (n, m, k) scores, episode l
+    scored by its own fit, and flags in the (n,) bool mask ``failed``
+    the episodes its base-learner could not fit.
     """
 
     b: float
@@ -52,8 +55,42 @@ class ScoringFunction:
         return np.stack([self.scores(x) for x in xs])
 
 
-def margin(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> float:
-    """True-class score minus the best competing score; lies in [-2b, 2b]."""
+def margin_terms(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and per-competitor hinges of scores at their true labels.
+
+    scores has shape (..., m, k) and ys (..., m) with labels in 1..k.
+    margins[..., i] is the true-class score minus the best competing
+    score; hinges[..., i, j] = max(0, 1 - (s_iy - s_ij) / rho) for each
+    competitor j and 0 at j = y. Every loss, the multi-margin learner
+    and the transfer-risk estimate take their margins and hinges from
+    here.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape[-1] < 2:
+        raise ValueError("margins need k >= 2 (max over competing classes is empty)")
+    if not rho > 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
+    col = np.asarray(ys, dtype=np.int64)[..., None] - 1
+    gaps = np.take_along_axis(scores, col, axis=-1) - scores
+    # The true class competes with nothing: an infinite gap drops it from
+    # the minimum and zeroes its hinge. Rounding is monotone, so the
+    # minimum gap equals the true score minus the maximum competitor.
+    np.put_along_axis(gaps, col, np.inf, axis=-1)
+    return gaps.min(axis=-1), np.maximum(0.0, 1.0 - gaps / rho)
+
+
+def episode_losses(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean ramp loss and mean multi-margin loss of each episode.
+
+    scores (..., m, k) at labels ys (..., m) give two arrays of shape
+    (...): one loss per episode, averaged over its m points.
+    """
+    margins, hinges = margin_terms(scores, ys, rho)
+    k = hinges.shape[-1]
+    return margin_loss_array(rho, margins).mean(axis=-1), (hinges.sum(axis=-1) / (k - 1)).mean(axis=-1)
+
+
+def _one_point(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> np.ndarray:
     if k < 2:
         raise ValueError("margin needs k >= 2 (max over competing classes is empty)")
     if not 1 <= y <= k:
@@ -61,8 +98,14 @@ def margin(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> float:
     s = np.asarray(f.scores(x), dtype=np.float64)
     if s.shape[0] != k:
         raise ValueError(f"scorer returned {s.shape[0]} scores, expected {k}")
-    others = np.delete(s, y - 1)
-    return float(s[y - 1] - others.max())
+    return s[None, :]
+
+
+def margin(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> float:
+    """True-class score minus the best competing score; lies in [-2b, 2b]."""
+    # rho only scales the hinges, which are not used here
+    margins, _ = margin_terms(_one_point(f, x, y, k), np.array([y]), 1.0)
+    return float(margins[0])
 
 
 def margin_loss(rho: float, t: float) -> float:
@@ -79,20 +122,9 @@ def margin_loss_array(rho: float, t: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - np.asarray(t, dtype=np.float64) / rho, 0.0, 1.0)
 
 
-def _margins_for_episode(f: ScoringFunction, episode: Episode) -> np.ndarray:
-    if episode.k < 2:
-        raise ValueError("losses need k >= 2")
-    s = np.asarray(f.scores_matrix(episode.xs), dtype=np.float64)
-    idx = np.arange(episode.m)
-    true = s[idx, episode.ys - 1]
-    masked = s.copy()
-    masked[idx, episode.ys - 1] = -np.inf
-    return true - masked.max(axis=1)
-
-
 def empirical_margin_loss(f: ScoringFunction, episode: Episode, rho: float) -> float:
     """Mean ramp loss of the scorer over all m points of the episode."""
-    return float(margin_loss_array(rho, _margins_for_episode(f, episode)).mean())
+    return float(episode_losses(f.scores_matrix(episode.xs), episode.ys, rho)[0])
 
 
 def multi_margin_loss(f: ScoringFunction, x: np.ndarray, y: int, rho: float, k: int) -> float:
@@ -102,35 +134,17 @@ def multi_margin_loss(f: ScoringFunction, x: np.ndarray, y: int, rho: float, k: 
     rho; not clamped above, so the raw value can exceed 1 (bounded by
     1 + 2b/rho via the score bound).
     """
-    if k < 2:
-        raise ValueError("multi-margin loss needs k >= 2")
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    if not 1 <= y <= k:
-        raise ValueError(f"label {y} outside 1..{k}")
-    s = np.asarray(f.scores(x), dtype=np.float64)
-    gaps = s[y - 1] - s
-    hinges = np.maximum(0.0, 1.0 - gaps / rho)
-    hinges[y - 1] = 0.0
-    return float(hinges.sum() / (k - 1))
+    _, hinges = margin_terms(_one_point(f, x, y, k), np.array([y]), rho)
+    return float(hinges[0].sum() / (k - 1))
 
 
 def empirical_multi_margin_loss(f: ScoringFunction, episode: Episode, rho: float) -> float:
     """Mean multi-margin loss over all m points of the episode."""
-    if episode.k < 2:
-        raise ValueError("losses need k >= 2")
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    s = np.asarray(f.scores_matrix(episode.xs), dtype=np.float64)
-    idx = np.arange(episode.m)
-    true = s[idx, episode.ys - 1]
-    hinges = np.maximum(0.0, 1.0 - (true[:, None] - s) / rho)
-    hinges[idx, episode.ys - 1] = 0.0
-    return float((hinges.sum(axis=1) / (episode.k - 1)).mean())
+    return float(episode_losses(f.scores_matrix(episode.xs), episode.ys, rho)[1])
 
 
 def average_empirical_loss(
-    meta_sample: MetaSample,
+    meta_sample: EpisodeBatch,
     algorithm: Callable[[Episode], ScoringFunction],
     rho: float,
     loss_kind: str = "margin",
@@ -140,6 +154,6 @@ def average_empirical_loss(
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
     per_episode = empirical_margin_loss if loss_kind == "margin" else empirical_multi_margin_loss
     total = 0.0
-    for episode in meta_sample.episodes:
+    for episode in meta_sample:
         total += per_episode(algorithm(episode), episode, rho)
     return total / meta_sample.n

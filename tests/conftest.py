@@ -15,12 +15,22 @@ class TableScorer(ScoringFunction):
 
 
 class ConstantScorer(ScoringFunction):
-    """All classes score the same constant value."""
+    """All classes score the same constant value. With ``episodes`` set it
+    stands for a scorer fitted on a batch of that many episodes."""
 
-    def __init__(self, k, value=0.0, b=1.0):
+    def __init__(self, k, value=0.0, b=1.0, episodes=None):
         self.k = k
         self.value = float(value)
         self.b = float(b)
+        self.failed = np.zeros(() if episodes is None else episodes, dtype=bool)
+
+    def __getitem__(self, index):
+        sub = ConstantScorer(self.k, self.value, self.b)
+        sub.failed = self.failed[index]
+        return sub
 
     def scores(self, x):
         return np.full(self.k, self.value)
+
+    def scores_matrix(self, xs):
+        return np.full(np.shape(xs)[:-1] + (self.k,), self.value)

@@ -73,7 +73,7 @@ class TestRestriction:
     def test_constant_zero_scorers(self):
         ep = Episode(xs=np.zeros((3, 2)), ys=np.array([1, 2, 1]), k=2)
         fam = make_feature_family(2, 2, 1, "identity", 0)
-        A = build_pi1f_restriction(ep, fam, lambda e, p: ConstantScorer(2, 0.0, b=1.0), 2)
+        A = build_pi1f_restriction(ep, fam, lambda batch, p: ConstantScorer(2, 0.0, b=1.0, episodes=batch.n), 2)
         assert np.all(A.values == 0.0)
 
     def test_entries_bounded(self):

@@ -4,8 +4,8 @@ import pytest
 from metamargin.core import (
     EnvironmentSpec,
     Episode,
+    EpisodeBatch,
     LabeledExample,
-    MetaSample,
     SeedPolicy,
     TaskSpec,
     sample_episode,
@@ -63,7 +63,7 @@ class TestTypes:
         e1 = Episode(xs=np.zeros((3, 2)), ys=np.array([1, 2, 1]), k=2)
         e2 = Episode(xs=np.zeros((4, 2)), ys=np.array([1, 2, 1, 2]), k=2)
         with pytest.raises(ValueError):
-            MetaSample(episodes=(e1, e2))
+            EpisodeBatch.stack((e1, e2))
 
     def test_environment_json_field_names(self):
         data = ENV.to_json()
@@ -172,16 +172,16 @@ class TestMetaSample:
     def test_deterministic(self):
         a = sample_meta_sample(ENV, 5, 10, 4)
         b = sample_meta_sample(ENV, 5, 10, 4)
-        for ea, eb in zip(a.episodes, b.episodes):
+        for ea, eb in zip(a, b):
             assert np.array_equal(ea.xs, eb.xs) and np.array_equal(ea.ys, eb.ys)
 
     def test_structural_homogeneity(self):
         ms = sample_meta_sample(ENV, 50, 100, 8)
-        assert all(e.m == 100 and e.k == 5 for e in ms.episodes)
+        assert all(e.m == 100 and e.k == 5 for e in ms)
 
     def test_shape_episodes(self):
         ms = sample_meta_sample(ENV, 3, 100, 8, shape=(5, 15))
-        assert all(e.split == 5 for e in ms.episodes)
+        assert all(e.split == 5 for e in ms)
         with pytest.raises(ValueError):
             sample_meta_sample(ENV, 3, 99, 8, shape=(5, 15))
 

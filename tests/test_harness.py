@@ -14,6 +14,7 @@ from metamargin.core import (
 )
 from metamargin.harness import (
     CSV_HEADER,
+    SWEEP_CSV_HEADER,
     ExperimentConfig,
     FamilyGroup,
     FamilySpec,
@@ -27,6 +28,7 @@ from metamargin.harness import (
     read_result_rows,
     sweep,
     write_result_rows,
+    write_sweep_rows,
 )
 from metamargin.learners import make_feature_family, meta_erm_select, nearest_centroid_learn
 from metamargin.losses import empirical_margin_loss, empirical_multi_margin_loss
@@ -65,7 +67,7 @@ class TestEstimateTransferRisk:
 
     def test_constant_scorer_gives_risk_one(self):
         phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
-        learner = lambda ep, p: ConstantScorer(3, 0.0, b=1.0)
+        learner = lambda batch, p: ConstantScorer(3, 0.0, b=1.0, episodes=batch.n)
         est = estimate_transfer_risk(ENV, phi, learner, 1.0, 12, 5, 10, seed=2)
         assert est.risk == 1.0
 
@@ -87,13 +89,12 @@ class TestEstimateTransferRisk:
 
     def test_failed_draws_counted(self):
         phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
-        calls = {"i": 0}
 
-        def flaky(ep, p):
-            calls["i"] += 1
-            if calls["i"] % 3 == 0:
-                raise ValueError("synthetic failure")
-            return nearest_centroid_learn(ep, p, 1.0)
+        def flaky(batch, p):
+            # every third draw fails to fit
+            scorer = nearest_centroid_learn(batch, p, 1.0)
+            scorer.failed = scorer.failed | (np.arange(batch.n) % 3 == 2)
+            return scorer
 
         est = estimate_transfer_risk(ENV, phi, flaky, 1.0, 12, 9, 10, seed=5)
         assert est.failures == 3
@@ -172,6 +173,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(small_config(), "delta", [0.1])
 
+    def test_error_text_stays_on_one_row(self, tmp_path):
+        path = str(tmp_path / "sweep.csv")
+        write_sweep_rows([{"axis": "n", "value": 0, "status": "error", "error": "a\nb,c\r\nd"}], path)
+        lines = open(path, newline="").read().split("\n")
+        assert lines[0] == SWEEP_CSV_HEADER and lines[2:] == [""]
+        fields = lines[1].split(",")
+        assert len(fields) == len(SWEEP_CSV_HEADER.split(",")) and fields[-1] == "a b;c  d"
+
 
 class TestPairedBoundInequalities:
     """Bound-vs-bound inequalities on simulated instances."""
@@ -183,9 +192,9 @@ class TestPairedBoundInequalities:
         inputs = BoundInputs(k=3, rho=1.0, delta=0.1, m=15, n=4, v=9, b=1.0)
         for seed in range(50):
             meta = sample_meta_sample(ENV, 4, 15, seed, shape=(2, 3))
-            chosen, _ = meta_erm_select(meta, fam, self.LEARNER, 1.0)
+            chosen = meta_erm_select(meta, fam, self.LEARNER, 1.0).chosen
             margin_avg = multi_avg = 0.0
-            for ep in meta.episodes:
+            for ep in meta:
                 scorer = self.LEARNER(ep, chosen)
                 margin_avg += empirical_margin_loss(scorer, ep, 1.0)
                 multi_avg += empirical_multi_margin_loss(scorer, ep, 1.0)

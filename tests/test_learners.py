@@ -213,7 +213,8 @@ class TestMetaErmSelect:
     def test_singleton_family(self):
         fam = make_feature_family(8, 8, 1, "identity", 0)
         meta = sample_meta_sample(self.ENV, 3, 12, 1)
-        chosen, losses = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        selection = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        chosen, losses = selection.chosen, selection.losses
         assert chosen is fam.maps[0] and len(losses) == 1
 
     def test_noiseless_identity_reaches_zero(self):
@@ -221,14 +222,16 @@ class TestMetaErmSelect:
                 + make_feature_family(8, 2, 3, "random_relu", 4).maps)
         fam = FeatureFamily(maps=maps)
         meta = sample_meta_sample(self.ENV, 5, 30, 2)
-        chosen, losses = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        selection = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        chosen, losses = selection.chosen, selection.losses
         assert min(losses) == 0.0
         assert losses[[m.id for m in fam.maps].index(chosen.id)] == 0.0
 
     def test_returns_argmin_and_all_losses(self):
         fam = make_feature_family(8, 4, 4, "random_linear", 7)
         meta = sample_meta_sample(self.ENV, 4, 15, 3)
-        chosen, losses = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        selection = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        chosen, losses = selection.chosen, selection.losses
         assert len(losses) == 4
         chosen_idx = [m.id for m in fam.maps].index(chosen.id)
         assert losses[chosen_idx] == min(losses)
@@ -236,6 +239,7 @@ class TestMetaErmSelect:
     def test_tie_broken_by_lowest_id(self):
         fam = make_feature_family(8, 8, 2, "identity", 0)  # identical maps, distinct ids
         meta = sample_meta_sample(self.ENV, 3, 12, 1)
-        chosen, losses = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        selection = meta_erm_select(meta, fam, self.centroid_learner, 0.3)
+        chosen, losses = selection.chosen, selection.losses
         assert losses[0] == losses[1]
         assert chosen.id == "identity-00"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer, TableScorer
-from metamargin.core import Episode, MetaSample
+from metamargin.core import Episode, EpisodeBatch
 from metamargin.losses import (
     MarginConfig,
     average_empirical_loss,
@@ -173,7 +173,7 @@ class TestSurrogateInequality:
 
 class TestAverageEmpiricalLoss:
     def _meta(self, episodes):
-        return MetaSample(episodes=tuple(episodes))
+        return EpisodeBatch.stack(episodes)
 
     def test_single_episode(self):
         ep = index_episode([1, 2], 2)
