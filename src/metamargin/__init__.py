@@ -33,7 +33,6 @@ from .core import (
     EnvironmentSpec,
     Episode,
     EpisodeBatch,
-    LabeledExample,
     SeedPolicy,
     TaskSpec,
     sample_episode,
@@ -52,7 +51,6 @@ from .harness import (
     bound_validity_experiment,
     estimate_transfer_risk,
     query_split_accuracy,
-    read_result_rows,
     sweep,
     write_result_rows,
 )
@@ -70,9 +68,7 @@ from .learners import (
     nearest_centroid_learn,
 )
 from .losses import (
-    MarginConfig,
     ScoringFunction,
-    average_empirical_loss,
     empirical_margin_loss,
     empirical_multi_margin_loss,
     episode_losses,

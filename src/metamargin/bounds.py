@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-BOUND_KINDS = ("vc", "gaussian", "covering", "surrogate", "kway_sshot")
-
 DEFAULT_C0 = math.e
 
 
@@ -72,20 +70,6 @@ class BoundInputs:
         if self.c0 < 1:
             raise ValueError("C0 must be >= 1 (sqrt(ln C0) must be real)")
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k, "rho": self.rho, "delta": self.delta, "m": self.m,
-            "n": self.n, "v": self.v, "b": self.b, "c0": self.c0,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BoundInputs":
-        return cls(
-            k=int(data["k"]), rho=float(data["rho"]), delta=float(data["delta"]),
-            m=int(data["m"]), n=int(data["n"]), v=int(data["v"]),
-            b=float(data["b"]), c0=float(data.get("c0", DEFAULT_C0)),
-        )
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -98,16 +82,6 @@ class BoundReport:
     total: float
     kind: str
     vacuous: bool
-
-    def to_json(self) -> dict:
-        return {
-            "empirical_term": self.empirical_term,
-            "confidence_term": self.confidence_term,
-            "complexity_term": self.complexity_term,
-            "total": self.total,
-            "kind": self.kind,
-            "vacuous": self.vacuous,
-        }
 
 
 def _report(kind: str, empirical: float, confidence: float, complexity: float) -> BoundReport:

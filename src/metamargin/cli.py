@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .bounds import (
     DEFAULT_C0,
@@ -135,7 +135,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         report = gaussian_transfer_bound(inputs, args.avg_loss, args.gamma_meta, args.gamma_task)
     else:
         report = covering_transfer_bound(inputs, args.avg_loss, args.entropy_meta, args.entropy_task)
-    _print_json(report.to_json())
+    _print_json(asdict(report))
     return 0
 
 
@@ -147,8 +147,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimator in ("gaussian", "rademacher"):
         fn = gaussian_complexity_mc if args.estimator == "gaussian" else rademacher_complexity_mc
         est = fn(matrix, args.draws, seed)
-        _print_json({"estimator": args.estimator, "mean": est.mean,
-                     "std_error": est.std_error, "draws": est.draws})
+        _print_json({"estimator": args.estimator, **asdict(est)})
     elif args.estimator == "massart":
         _print_json({"estimator": "massart", "value": massart_bound(matrix)})
     elif args.estimator == "dudley":

@@ -49,32 +49,11 @@ class SeedPolicy:
             raise ValueError(f"unit index must be >= 0, got {index}")
         return _splitmix64(_splitmix64(self.master_seed & _MASK64) ^ (index & _MASK64))
 
-    def rng(self, index: int) -> np.random.Generator:
-        return np.random.default_rng(self.child(index))
-
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledExample:
-    """One labeled point: raw input vector x and class index y in 1..k."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_readonly(self.x))
-        if self.x.ndim != 1:
-            raise ValueError("x must be a 1-D vector")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("x must be finite")
-        if int(self.y) < 1:
-            raise ValueError(f"label must be >= 1, got {self.y}")
-        object.__setattr__(self, "y", int(self.y))
 
 
 def _checked_arrays(xs, ys, k: int, split: Optional[int], batched: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +129,6 @@ class Episode(_Portions):
     @property
     def m(self) -> int:
         return self.xs.shape[0]
-
-    @property
-    def examples(self) -> list[LabeledExample]:
-        return [LabeledExample(x, int(y)) for x, y in zip(self.xs, self.ys)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,25 +231,6 @@ class EnvironmentSpec:
             raise ValueError(f"prototype_scale must be finite and >= 0, got {self.prototype_scale}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
             raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
-
-    def to_json(self) -> dict:
-        return {
-            "d_raw": self.d_raw,
-            "k": self.k,
-            "prototype_scale": self.prototype_scale,
-            "noise_sigma": self.noise_sigma,
-            "balanced": self.balanced,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EnvironmentSpec":
-        return cls(
-            d_raw=int(data["d_raw"]),
-            k=int(data["k"]),
-            prototype_scale=float(data["prototype_scale"]),
-            noise_sigma=float(data["noise_sigma"]),
-            balanced=bool(data.get("balanced", True)),
-        )
 
 
 def _task_arrays(env: EnvironmentSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,23 +54,72 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
 
-CSV_HEADER = (
-    "trial,avg_empirical_loss,transfer_risk,transfer_risk_se,"
-    "bound_vc,bound_gaussian,bound_covering,bound_surrogate,"
-    "holds_vc,holds_gaussian,holds_covering,holds_surrogate,"
-    "test_accuracy,vacuous_vc,elapsed_ms"
+# Run-summary metrics a sweep row reports, in sweep CSV column order.
+SWEEP_METRICS = (
+    "mean_test_accuracy", "test_accuracy_se", "mean_avg_empirical_loss",
+    "mean_bound_vc", "mean_bound_gaussian", "mean_bound_covering", "mean_bound_surrogate",
+    "hold_freq_vc", "hold_freq_gaussian", "hold_freq_covering", "hold_freq_surrogate",
 )
-
-SWEEP_CSV_HEADER = (
-    "axis,value,status,trials,mean_test_accuracy,test_accuracy_se,"
-    "mean_avg_empirical_loss,mean_bound_vc,mean_bound_gaussian,"
-    "mean_bound_covering,mean_bound_surrogate,hold_freq_vc,"
-    "hold_freq_gaussian,hold_freq_covering,hold_freq_surrogate,error"
-)
+SWEEP_CSV_HEADER = ",".join(("axis", "value", "status", "trials") + SWEEP_METRICS + ("error",))
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
+
+
+def _from_json(cls, data):
+    """An instance of dataclass ``cls`` built from parsed JSON ``data``.
+
+    Every key must name a field, and a missing key takes the field's
+    default. Nested dataclasses, Optional and tuple fields are read
+    recursively from objects, null and arrays. An int field takes an
+    integral number, a float field any number, and bool and str fields
+    only their own JSON type; anything else raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} needs a JSON object, got {data!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, f in known.items():
+        if name in data:
+            kwargs[name] = _from_json_value(hints[name], data[name], f"{cls.__name__}.{name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{cls.__name__} is missing the required key {name!r}")
+    return cls(**kwargs)
+
+
+def _from_json_value(tp, value, where: str):
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+        return _from_json_value(tp, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a JSON array, got {value!r}")
+        args = get_args(tp)
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(types):
+            raise ValueError(f"{where} needs {len(types)} items, got {len(value)}")
+        return tuple(_from_json_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if is_dataclass(tp):
+        return _from_json(tp, value)
+    if isinstance(value, bool) != (tp is bool):
+        ok = False
+    elif tp is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    elif tp is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, tp)
+    if not ok:
+        raise ValueError(f"{where} must be a JSON {tp.__name__}, got {value!r}")
+    return tp(value)
 
 
 @dataclass(frozen=True)
@@ -87,24 +136,6 @@ class FamilySpec:
     d: int
     groups: tuple[FamilyGroup, ...]
     norm_cap: float = 1e6
-
-    def to_json(self) -> dict:
-        groups = []
-        for g in self.groups:
-            entry = {"kind": g.kind, "count": g.count}
-            if g.d is not None:
-                entry["d"] = g.d
-            groups.append(entry)
-        return {"d": self.d, "norm_cap": self.norm_cap, "groups": groups}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FamilySpec":
-        groups = tuple(
-            FamilyGroup(kind=g["kind"], count=int(g["count"]),
-                        d=int(g["d"]) if g.get("d") is not None else None)
-            for g in data["groups"]
-        )
-        return cls(d=int(data["d"]), groups=groups, norm_cap=float(data.get("norm_cap", 1e6)))
 
 
 @dataclass(frozen=True)
@@ -123,18 +154,6 @@ class LearnerSpec:
     def __post_init__(self) -> None:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"learner kind must be one of {LEARNER_KINDS}, got {self.kind!r}")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "lam": self.lam, "steps": self.steps, "step_size": self.step_size}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LearnerSpec":
-        return cls(
-            kind=data["kind"],
-            lam=float(data.get("lam", 1e-3)),
-            steps=int(data.get("steps", 30)),
-            step_size=float(data.get("step_size", 0.1)),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,9 +177,7 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        for name in ("test_points_per_task", "outer_task_draws", "outer_meta_draws",
+        for name in ("trials", "test_points_per_task", "outer_task_draws", "outer_meta_draws",
                      "mc_draws", "dudley_levels", "test_episodes", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -178,52 +195,21 @@ class ExperimentConfig:
                 )
 
     def to_json(self) -> dict:
-        data = {
-            "environment": self.environment.to_json(),
-            "family": self.family.to_json(),
-            "learner": self.learner.to_json(),
-            "bound": self.bound.to_json(),
-            "trials": self.trials,
-            "test_points_per_task": self.test_points_per_task,
-            "outer_task_draws": self.outer_task_draws,
-            "outer_meta_draws": self.outer_meta_draws,
-            "mc_draws": self.mc_draws,
-            "dudley_levels": self.dudley_levels,
-            "test_episodes": self.test_episodes,
-            "loss_kind": self.loss_kind,
-            "seed": self.seed,
-            "workers": self.workers,
-            "record_timing": self.record_timing,
-            "output_path": self.output_path,
-        }
+        data = asdict(self)
         if self.episode_shape is not None:
-            data["episode_shape"] = {"s": self.episode_shape[0], "q": self.episode_shape[1]}
+            data["episode_shape"] = dict(zip("sq", self.episode_shape))
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        shape = None
-        if data.get("episode_shape") is not None:
-            shape = (int(data["episode_shape"]["s"]), int(data["episode_shape"]["q"]))
-        return cls(
-            environment=EnvironmentSpec.from_json(data["environment"]),
-            family=FamilySpec.from_json(data["family"]),
-            learner=LearnerSpec.from_json(data["learner"]),
-            bound=BoundInputs.from_json(data["bound"]),
-            trials=int(data["trials"]),
-            test_points_per_task=int(data.get("test_points_per_task", 40)),
-            outer_task_draws=int(data.get("outer_task_draws", 20)),
-            outer_meta_draws=int(data.get("outer_meta_draws", 3)),
-            mc_draws=int(data.get("mc_draws", 2000)),
-            dudley_levels=int(data.get("dudley_levels", 12)),
-            test_episodes=int(data.get("test_episodes", 600)),
-            episode_shape=shape,
-            loss_kind=data.get("loss_kind", "margin"),
-            seed=int(data.get("seed", 0)),
-            workers=int(data.get("workers", 1)),
-            record_timing=bool(data.get("record_timing", False)),
-            output_path=data.get("output_path"),
-        )
+        """Read a config object; ``episode_shape`` is ``{"s": s, "q": q}``.
+        Unknown keys and mistyped values raise ValueError."""
+        shape = data.get("episode_shape") if isinstance(data, dict) else None
+        if shape is not None:
+            if not isinstance(shape, dict) or sorted(shape) != ["q", "s"]:
+                raise ValueError(f"episode_shape needs exactly the keys s and q, got {shape!r}")
+            data = {**data, "episode_shape": [shape["s"], shape["q"]]}
+        return _from_json(cls, data)
 
 
 def build_family(spec: FamilySpec, d_raw: int, seed: int) -> FeatureFamily:
@@ -251,13 +237,12 @@ def make_base_learner(spec: LearnerSpec, rho: float, b: float) -> BaseLearner:
 
 @dataclass(frozen=True)
 class TransferRiskEstimate:
-    """Monte Carlo estimate of transfer risk for a fixed feature map."""
+    """Monte Carlo estimate of transfer risk for a fixed feature map;
+    ``failures`` counts the draws whose learner failed."""
 
     risk: float
     std_error: float
     accuracy: float
-    task_draws: int
-    test_points: int
     failures: int
 
 
@@ -277,9 +262,11 @@ def estimate_transfer_risk(
     Per task draw: sample a task, a training episode of size m, and
     test_points i.i.d. test pairs; train the base-learner with phi
     frozen and average the ramp loss over the test pairs. All draws
-    are fitted and scored as one batch. Failed draws (episodes the
-    learner flags) are excluded and counted. The standard error pools
-    all per-point losses; 0-1 accuracy rides along.
+    are fitted and scored as one batch. A failed draw (an episode the
+    learner flags) counts as ramp loss 1 and accuracy 0 on every test
+    point, the worst a ramp loss can be, so failures never favour the
+    bounds. The standard error pools all per-point losses; 0-1
+    accuracy rides along.
     """
     if task_draws < 1 or test_points < 1:
         raise ValueError("task_draws and test_points must be >= 1")
@@ -293,13 +280,14 @@ def estimate_transfer_risk(
     scores = scorer[ok].scores_matrix(test.xs[ok])
     ys = test.ys[ok]
     margins, _ = margin_terms(scores, ys, rho)
-    pooled = margin_loss_array(rho, margins).ravel()
-    accuracy = float((scores.argmax(axis=-1) + 1 == ys).mean())
+    losses = np.ones(test.ys.shape)
+    hits = np.zeros(test.ys.shape, dtype=bool)
+    losses[ok] = margin_loss_array(rho, margins)
+    hits[ok] = scores.argmax(axis=-1) + 1 == ys
+    pooled = losses.ravel()
     se = float(pooled.std(ddof=1) / math.sqrt(pooled.size)) if pooled.size > 1 else 0.0
-    return TransferRiskEstimate(
-        risk=float(pooled.mean()), std_error=se, accuracy=accuracy,
-        task_draws=task_draws, test_points=test_points, failures=int(task_draws - ok.sum()),
-    )
+    return TransferRiskEstimate(risk=float(pooled.mean()), std_error=se,
+                                accuracy=float(hits.mean()), failures=int(task_draws - ok.sum()))
 
 
 def query_split_accuracy(
@@ -394,47 +382,14 @@ class ResultRow:
     vacuous_vc: bool
     elapsed_ms: float
 
-    def to_csv_line(self) -> str:
-        return ",".join([
-            str(self.trial),
-            _fmt(self.avg_empirical_loss),
-            _fmt(self.transfer_risk),
-            _fmt(self.transfer_risk_se),
-            _fmt(self.bound_vc),
-            _fmt(self.bound_gaussian),
-            _fmt(self.bound_covering),
-            _fmt(self.bound_surrogate),
-            str(int(self.holds_vc)),
-            str(int(self.holds_gaussian)),
-            str(int(self.holds_covering)),
-            str(int(self.holds_surrogate)),
-            _fmt(self.test_accuracy),
-            str(int(self.vacuous_vc)),
-            _fmt(self.elapsed_ms),
-        ])
 
-    @classmethod
-    def from_csv_line(cls, line: str) -> "ResultRow":
-        parts = line.strip().split(",")
-        if len(parts) != 15:
-            raise ValueError(f"expected 15 CSV fields, got {len(parts)}")
-        return cls(
-            trial=int(parts[0]),
-            avg_empirical_loss=float(parts[1]),
-            transfer_risk=float(parts[2]),
-            transfer_risk_se=float(parts[3]),
-            bound_vc=float(parts[4]),
-            bound_gaussian=float(parts[5]),
-            bound_covering=float(parts[6]),
-            bound_surrogate=float(parts[7]),
-            holds_vc=bool(int(parts[8])),
-            holds_gaussian=bool(int(parts[9])),
-            holds_covering=bool(int(parts[10])),
-            holds_surrogate=bool(int(parts[11])),
-            test_accuracy=float(parts[12]),
-            vacuous_vc=bool(int(parts[13])),
-            elapsed_ms=float(parts[14]),
-        )
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
+def _csv_cell(value) -> str:
+    """A results CSV field: bools as 0/1, ints as written, floats to 9
+    significant digits."""
+    return str(int(value)) if isinstance(value, int) else _fmt(value)
 
 
 def bound_holds(transfer_risk: float, transfer_risk_se: float, bound_total: float) -> bool:
@@ -523,12 +478,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     summary: dict = {
         "trials": config.trials,
         "failed_trials": failed,
-        "expected_complexities": {
-            "gamma_meta": expected.gamma_meta,
-            "gamma_task": expected.gamma_task,
-            "entropy_meta": expected.entropy_meta,
-            "entropy_task": expected.entropy_task,
-        },
+        "expected_complexities": asdict(expected),
     }
     if rows:
         for kind in ("vc", "gaussian", "covering", "surrogate"):
@@ -550,15 +500,7 @@ def write_result_rows(rows: Sequence[ResultRow], path: str) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(CSV_HEADER + "\n")
         for row in rows:
-            handle.write(row.to_csv_line() + "\n")
-
-
-def read_result_rows(path: str) -> list[ResultRow]:
-    with open(path, "r", newline="") as handle:
-        header = handle.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError("unexpected results CSV header")
-        return [ResultRow.from_csv_line(line) for line in handle if line.strip()]
+            handle.write(",".join(map(_csv_cell, astuple(row))) + "\n")
 
 
 def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -566,19 +508,19 @@ def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> Experiment
         n = int(value)
         if n != value or n < 1:
             raise ValueError(f"axis n needs a positive integer, got {value}")
-        return replace(config, bound=BoundInputs.from_json({**config.bound.to_json(), "n": n}))
+        return replace(config, bound=replace(config.bound, n=n))
     if axis == "m":
         m = int(value)
         if m != value or m < 1:
             raise ValueError(f"axis m needs a positive integer, got {value}")
         if config.episode_shape is not None:
             raise ValueError("axis m requires unsplit episodes; sweep s instead")
-        return replace(config, bound=BoundInputs.from_json({**config.bound.to_json(), "m": m}))
+        return replace(config, bound=replace(config.bound, m=m))
     if axis == "rho":
         rho = float(value)
         if rho <= 0:
             raise ValueError(f"axis rho needs a positive value, got {value}")
-        return replace(config, bound=BoundInputs.from_json({**config.bound.to_json(), "rho": rho}))
+        return replace(config, bound=replace(config.bound, rho=rho))
     if axis == "s":
         s = int(value)
         if s != value or s < 1:
@@ -587,8 +529,7 @@ def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> Experiment
             raise ValueError("axis s requires an episode shape in the config")
         q = config.episode_shape[1]
         m = config.bound.k * (s + q)
-        return replace(config, episode_shape=(s, q),
-                       bound=BoundInputs.from_json({**config.bound.to_json(), "m": m}))
+        return replace(config, episode_shape=(s, q), bound=replace(config.bound, m=m))
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
@@ -608,20 +549,8 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[
         try:
             sub_config = _apply_axis(config, axis, value)
             _, summary = bound_validity_experiment(sub_config)
-            row.update({
-                "trials": summary["trials"] - summary["failed_trials"],
-                "mean_test_accuracy": summary.get("mean_test_accuracy", float("nan")),
-                "test_accuracy_se": summary.get("test_accuracy_se", float("nan")),
-                "mean_avg_empirical_loss": summary.get("mean_avg_empirical_loss", float("nan")),
-                "mean_bound_vc": summary.get("mean_bound_vc", float("nan")),
-                "mean_bound_gaussian": summary.get("mean_bound_gaussian", float("nan")),
-                "mean_bound_covering": summary.get("mean_bound_covering", float("nan")),
-                "mean_bound_surrogate": summary.get("mean_bound_surrogate", float("nan")),
-                "hold_freq_vc": summary.get("hold_freq_vc", float("nan")),
-                "hold_freq_gaussian": summary.get("hold_freq_gaussian", float("nan")),
-                "hold_freq_covering": summary.get("hold_freq_covering", float("nan")),
-                "hold_freq_surrogate": summary.get("hold_freq_surrogate", float("nan")),
-            })
+            row["trials"] = summary["trials"] - summary["failed_trials"]
+            row.update({name: summary.get(name, float("nan")) for name in SWEEP_METRICS})
         except (ValueError, NumericError) as exc:
             row["status"] = "error"
             row["error"] = str(exc)
@@ -630,17 +559,11 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[
 
 
 def write_sweep_rows(rows: Sequence[dict], path: str) -> None:
-    numeric = (
-        "mean_test_accuracy", "test_accuracy_se", "mean_avg_empirical_loss",
-        "mean_bound_vc", "mean_bound_gaussian", "mean_bound_covering",
-        "mean_bound_surrogate", "hold_freq_vc", "hold_freq_gaussian",
-        "hold_freq_covering", "hold_freq_surrogate",
-    )
     with open(path, "w", newline="") as handle:
         handle.write(SWEEP_CSV_HEADER + "\n")
         for row in rows:
-            fields = [row["axis"], _fmt(row["value"]), row["status"], str(row.get("trials", 0))]
-            fields += [_fmt(row[c]) if c in row else "" for c in numeric]
+            cells = [row["axis"], _fmt(row["value"]), row["status"], str(row.get("trials", 0))]
+            cells += [_fmt(row[name]) if name in row else "" for name in SWEEP_METRICS]
             error = str(row.get("error", ""))
-            fields.append(error.replace(",", ";").replace("\r", " ").replace("\n", " "))
-            handle.write(",".join(fields) + "\n")
+            cells.append(error.replace(",", ";").replace("\r", " ").replace("\n", " "))
+            handle.write(",".join(cells) + "\n")

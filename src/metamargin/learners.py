@@ -73,9 +73,6 @@ class FeatureMap:
             out[over] *= (self.norm_cap / norms[over])[:, None]
         return out
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureFamily:
@@ -193,9 +190,6 @@ class CentroidScorer(ScoringFunction):
             dists[..., c] = np.sqrt(np.einsum("...i,...i->...", diff, diff))
         return np.clip(-dists / self.scale[..., None, None], -self.b, self.b)
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
 
 class LinearScorer(ScoringFunction):
     """Linear class scores W phi(x), clamped to [-b, b].
@@ -225,17 +219,6 @@ class LinearScorer(ScoringFunction):
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
         feats = _features(self.phi, xs)
         return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
-    def to_json(self) -> dict:
-        return {
-            "W": self.W.tolist(),
-            "b": self.b,
-            "feature_map": self.phi.id,
-            "loss_history": self.loss_history.tolist(),
-        }
 
 
 def nearest_centroid_learn(episode: Episode | EpisodeBatch, phi: FeatureMap, b: float) -> CentroidScorer:

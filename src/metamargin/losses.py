@@ -10,29 +10,16 @@ bounds the ramp loss via ramp(margin) <= (k-1) * multimargin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .core import Episode, EpisodeBatch
+from .core import Episode
 
 LOSS_KINDS = ("margin", "multimargin")
 
 
-@dataclass(frozen=True)
-class MarginConfig:
-    """Validated holder for the margin parameter rho."""
-
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-
-
 class ScoringFunction:
-    """Bounded class-score map. Subclasses implement ``scores``.
+    """Bounded class-score map. Subclasses implement ``scores`` or
+    ``scores_matrix``; each defaults to the other.
 
     ``b`` is the score bound: concrete scorers clamp their outputs so
     that |score(x, y)| <= b always holds. A scorer fitted on a batch of
@@ -45,10 +32,7 @@ class ScoringFunction:
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Scores for all k classes at a single input, shape (k,)."""
-        raise NotImplementedError
-
-    def score(self, x: np.ndarray, y: int) -> float:
-        return float(self.scores(x)[y - 1])
+        return self.scores_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Scores for a batch of inputs, shape (m, k)."""
@@ -141,19 +125,3 @@ def multi_margin_loss(f: ScoringFunction, x: np.ndarray, y: int, rho: float, k: 
 def empirical_multi_margin_loss(f: ScoringFunction, episode: Episode, rho: float) -> float:
     """Mean multi-margin loss over all m points of the episode."""
     return float(episode_losses(f.scores_matrix(episode.xs), episode.ys, rho)[1])
-
-
-def average_empirical_loss(
-    meta_sample: EpisodeBatch,
-    algorithm: Callable[[Episode], ScoringFunction],
-    rho: float,
-    loss_kind: str = "margin",
-) -> float:
-    """Mean per-episode empirical loss, each scorer trained on its episode."""
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
-    per_episode = empirical_margin_loss if loss_kind == "margin" else empirical_multi_margin_loss
-    total = 0.0
-    for episode in meta_sample:
-        total += per_episode(algorithm(episode), episode, rho)
-    return total / meta_sample.n

@@ -318,7 +318,10 @@ def test_transfer_risk_matches_loop(kind, shape, m):
         try:
             scorer = ref(train, phi)
         except (ValueError, NumericError):
+            # a failed draw counts as ramp loss 1 and a miss on every test point
             failures += 1
+            losses.append(np.ones(25))
+            hits.append(np.zeros(25, dtype=bool))
             continue
         test = sample_episode(task, 25, unit.child(2))
         scores = scorer.scores_matrix(test.xs)

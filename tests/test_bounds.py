@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from metamargin.bounds import (
     surrogate_multimargin_bound,
     vc_transfer_bound,
 )
+from metamargin.harness import ExperimentConfig
 
 
 def test_linear_scorer_vc_dimension_default():
@@ -66,7 +70,9 @@ class TestBoundInputs:
             BoundInputs(k=2, rho=1.0, delta=0.1, m=10, n=10, v=1, b=1.0, c0=0.9)
 
     def test_json_roundtrip(self):
-        assert BoundInputs.from_json(INPUTS.to_json()) == INPUTS
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        config = replace(ExperimentConfig.from_json(json.loads(path.read_text())), bound=INPUTS)
+        assert ExperimentConfig.from_json(json.loads(json.dumps(config.to_json()))).bound == INPUTS
 
 
 class TestVcTransferBound:
@@ -146,7 +152,7 @@ class TestReportStructure:
         assert vc_transfer_bound(INPUTS, 0.1).vacuous
 
     def test_json_field_names(self):
-        data = vc_transfer_bound(INPUTS, 0.1).to_json()
+        data = asdict(vc_transfer_bound(INPUTS, 0.1))
         assert set(data) == {"empirical_term", "confidence_term", "complexity_term",
                              "total", "kind", "vacuous"}
         assert data["kind"] == "vc"

@@ -131,6 +131,21 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, bound={**CONFIG["bound"], "k": 4})
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("trials", 2.5), ("record_timing", "false"), ("trails", 9), ("loss_kind", 0)])
+    def test_mistyped_or_unknown_key_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and not out.exists()
+
+    def test_missing_required_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "trials"}))
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "x.csv")]) == 2
+        assert "trials" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_single_axis_sweep(self, tmp_path, capsys):
@@ -140,6 +155,12 @@ class TestSweepCommand:
         lines = open(out).read().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "n"
+
+    def test_unknown_nested_key_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, learner={"kind": "nearest_centroid", "lr": 0.1})
+        assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "4",
+                     "--output", str(tmp_path / "s.csv")]) == 2
+        assert "lr" in capsys.readouterr().err
 
     def test_bad_values_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,6 @@ from metamargin.core import (
     EnvironmentSpec,
     Episode,
     EpisodeBatch,
-    LabeledExample,
     SeedPolicy,
     TaskSpec,
     sample_episode,
@@ -13,6 +16,7 @@ from metamargin.core import (
     sample_meta_sample,
     sample_task,
 )
+from metamargin.harness import ExperimentConfig
 
 ENV = EnvironmentSpec(d_raw=16, k=5, prototype_scale=1.0, noise_sigma=1.0)
 
@@ -21,7 +25,8 @@ class TestSeedPolicy:
     def test_deterministic(self):
         p = SeedPolicy(123)
         assert p.child(7) == SeedPolicy(123).child(7)
-        assert p.rng(3).integers(0, 1 << 30) == p.rng(3).integers(0, 1 << 30)
+        draw = lambda: np.random.default_rng(p.child(3)).integers(0, 1 << 30)
+        assert draw() == draw()
 
     def test_children_distinct(self):
         p = SeedPolicy(99)
@@ -35,10 +40,11 @@ class TestSeedPolicy:
 
 class TestTypes:
     def test_labeled_example_validation(self):
+        # a labeled example is an episode of one point
         with pytest.raises(ValueError):
-            LabeledExample(np.array([np.inf, 0.0]), 1)
+            Episode(xs=np.array([[np.inf, 0.0]]), ys=np.array([1]), k=2)
         with pytest.raises(ValueError):
-            LabeledExample(np.zeros(3), 0)
+            Episode(xs=np.zeros((1, 3)), ys=np.array([0]), k=2)
 
     def test_episode_label_range(self):
         with pytest.raises(ValueError):
@@ -53,12 +59,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             Episode(xs=np.zeros((5, 2)), ys=np.array([1, 2, 1, 2, 1]), k=2, split=1)
 
-    def test_episode_examples_roundtrip(self):
-        ep = Episode(xs=np.arange(6.0).reshape(3, 2), ys=np.array([1, 2, 1]), k=2)
-        ex = ep.examples
-        assert len(ex) == 3 and ex[1].y == 2
-        assert np.array_equal(ex[2].x, np.array([4.0, 5.0]))
-
     def test_meta_sample_homogeneity(self):
         e1 = Episode(xs=np.zeros((3, 2)), ys=np.array([1, 2, 1]), k=2)
         e2 = Episode(xs=np.zeros((4, 2)), ys=np.array([1, 2, 1, 2]), k=2)
@@ -66,9 +66,11 @@ class TestTypes:
             EpisodeBatch.stack((e1, e2))
 
     def test_environment_json_field_names(self):
-        data = ENV.to_json()
-        assert set(data) == {"d_raw", "k", "prototype_scale", "noise_sigma", "balanced"}
-        assert EnvironmentSpec.from_json(data) == ENV
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        config = replace(ExperimentConfig.from_json(json.loads(path.read_text())), environment=ENV)
+        data = config.to_json()
+        assert set(data["environment"]) == {"d_raw", "k", "prototype_scale", "noise_sigma", "balanced"}
+        assert ExperimentConfig.from_json(data).environment == ENV
 
     def test_task_spec_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,8 @@
+import csv
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from metamargin.complexity import build_pi1f_restriction, entropy_integral, gaus
 from metamargin.core import (
     EnvironmentSpec,
     sample_episode,
+    sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
     sample_task,
@@ -19,21 +25,22 @@ from metamargin.harness import (
     FamilyGroup,
     FamilySpec,
     LearnerSpec,
+    ResultRow,
     bound_holds,
     bound_validity_experiment,
     build_family,
     estimate_transfer_risk,
     make_base_learner,
     query_split_accuracy,
-    read_result_rows,
     sweep,
     write_result_rows,
     write_sweep_rows,
 )
 from metamargin.learners import make_feature_family, meta_erm_select, nearest_centroid_learn
-from metamargin.losses import empirical_margin_loss, empirical_multi_margin_loss
+from metamargin.losses import empirical_margin_loss, empirical_multi_margin_loss, margin_terms
 
 ENV = EnvironmentSpec(d_raw=8, k=3, prototype_scale=1.0, noise_sigma=1.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -98,6 +105,15 @@ class TestEstimateTransferRisk:
 
         est = estimate_transfer_risk(ENV, phi, flaky, 1.0, 12, 9, 10, seed=5)
         assert est.failures == 3
+        # a failed draw counts as ramp loss 1 and a miss on every test point
+        train, test = sample_episode_batches(ENV, 9, 5, [(12, None), (10, None)])
+        scores = nearest_centroid_learn(train, phi, 1.0).scores_matrix(test.xs)
+        losses = np.clip(1.0 - margin_terms(scores, test.ys, 1.0)[0], 0.0, 1.0)
+        hits = scores.argmax(axis=-1) + 1 == test.ys
+        losses[2::3], hits[2::3] = 1.0, False
+        assert est.risk == pytest.approx(losses.mean(), abs=1e-12)
+        assert est.std_error == pytest.approx(losses.std(ddof=1) / np.sqrt(losses.size), abs=1e-12)
+        assert est.accuracy == pytest.approx(hits.mean(), abs=1e-12)
 
 
 class TestBoundValidity:
@@ -126,15 +142,22 @@ class TestBoundValidity:
     def test_workers_do_not_change_results(self):
         rows1, _ = bound_validity_experiment(small_config())
         rows3, _ = bound_validity_experiment(small_config(workers=3))
-        assert [r.to_csv_line() for r in rows1] == [r.to_csv_line() for r in rows3]
+        assert rows1 == rows3
 
 
 class TestResultCsv:
+    CASTS = {"int": int, "float": float, "bool": lambda cell: bool(int(cell))}
+
     def test_roundtrip_is_lossless(self, tmp_path):
         rows, _ = bound_validity_experiment(small_config())
         path = str(tmp_path / "rows.csv")
         write_result_rows(rows, path)
-        parsed = read_result_rows(path)
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            assert next(reader) == [f.name for f in fields(ResultRow)]
+            casts = [self.CASTS[f.type] for f in fields(ResultRow)]
+            parsed = [ResultRow(*(cast(cell) for cast, cell in zip(casts, line))) for line in reader]
+        assert len(parsed) == len(rows)
         second = str(tmp_path / "rows2.csv")
         write_result_rows(parsed, second)
         assert open(path, "rb").read() == open(second, "rb").read()
@@ -142,9 +165,26 @@ class TestResultCsv:
     def test_header_matches_contract(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         write_result_rows([], path)
-        assert open(path).readline().strip() == CSV_HEADER
-        assert CSV_HEADER.split(",")[0] == "trial"
-        assert CSV_HEADER.split(",")[-1] == "elapsed_ms"
+        expected = (
+            "trial,avg_empirical_loss,transfer_risk,transfer_risk_se,"
+            "bound_vc,bound_gaussian,bound_covering,bound_surrogate,"
+            "holds_vc,holds_gaussian,holds_covering,holds_surrogate,"
+            "test_accuracy,vacuous_vc,elapsed_ms"
+        )
+        assert CSV_HEADER == expected
+        assert open(path).read() == expected + "\n"
+
+    def test_sweep_header_matches_contract(self, tmp_path):
+        path = str(tmp_path / "sweep.csv")
+        write_sweep_rows([], path)
+        expected = (
+            "axis,value,status,trials,mean_test_accuracy,test_accuracy_se,"
+            "mean_avg_empirical_loss,mean_bound_vc,mean_bound_gaussian,"
+            "mean_bound_covering,mean_bound_surrogate,hold_freq_vc,"
+            "hold_freq_gaussian,hold_freq_covering,hold_freq_surrogate,error"
+        )
+        assert SWEEP_CSV_HEADER == expected
+        assert open(path).read() == expected + "\n"
 
 
 class TestSweep:
@@ -220,11 +260,24 @@ class TestPairedBoundInequalities:
             assert c.total >= g.total
 
 
+def _config_without_shape():
+    # FamilyGroup.d set, no episode_shape and no output_path
+    return small_config(
+        family=FamilySpec(d=8, groups=(FamilyGroup("random_linear", 2, d=4), FamilyGroup("identity", 1))),
+        episode_shape=None,
+    )
+
+
 class TestConfig:
-    def test_json_roundtrip(self):
-        config = small_config()
-        again = ExperimentConfig.from_json(config.to_json())
-        assert again == config
+    @pytest.mark.parametrize("make", [
+        lambda: ExperimentConfig.from_json(json.loads((CONFIGS / "default.json").read_text())),
+        lambda: ExperimentConfig.from_json(json.loads((CONFIGS / "sweep.json").read_text())),
+        _config_without_shape,
+    ], ids=["default.json", "sweep.json", "group-d-unsplit"])
+    def test_json_roundtrip(self, make):
+        config = make()
+        assert ExperimentConfig.from_json(config.to_json()) == config
+        assert ExperimentConfig.from_json(json.loads(json.dumps(config.to_json()))) == config
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(ValueError):

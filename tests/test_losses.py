@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer, TableScorer
 from metamargin.core import Episode, EpisodeBatch
+from metamargin.learners import FeatureFamily, FeatureMap, meta_erm_select
 from metamargin.losses import (
-    MarginConfig,
-    average_empirical_loss,
     empirical_margin_loss,
     empirical_multi_margin_loss,
+    episode_losses,
     margin,
     margin_loss,
     margin_loss_array,
@@ -50,12 +50,6 @@ class TestMargin:
             f = TableScorer([rng.uniform(-b, b, k)], b=b)
             val = margin(f, np.array([0.0]), int(rng.integers(1, k + 1)), int(k))
             assert -2 * b <= val <= 2 * b
-
-
-def test_margin_config_validates():
-    assert MarginConfig(0.5).rho == 0.5
-    with pytest.raises(ValueError):
-        MarginConfig(0.0)
 
 
 class TestMarginLoss:
@@ -172,20 +166,24 @@ class TestSurrogateInequality:
 
 
 class TestAverageEmpiricalLoss:
-    def _meta(self, episodes):
-        return EpisodeBatch.stack(episodes)
+    """The average empirical loss of a meta-sample is the mean over the
+    episode axis of ``episode_losses``, each episode scored by its own
+    scorer."""
+
+    @staticmethod
+    def _average(scorers, episodes, rho=1.0):
+        batch = EpisodeBatch.stack(episodes)
+        scores = np.stack([f.scores_matrix(ep.xs) for f, ep in zip(scorers, episodes)])
+        return float(episode_losses(scores, batch.ys, rho)[0].mean())
 
     def test_single_episode(self):
         ep = index_episode([1, 2], 2)
         f = ConstantScorer(2)
-        val = average_empirical_loss(self._meta([ep]), lambda e: f, 1.0, "margin")
-        assert val == empirical_margin_loss(f, ep, 1.0)
+        assert self._average([f], [ep]) == empirical_margin_loss(f, ep, 1.0)
 
     def test_repeated_episodes(self):
         ep = index_episode([1, 2], 2)
-        f = ConstantScorer(2)
-        val = average_empirical_loss(self._meta([ep] * 4), lambda e: f, 1.0, "margin")
-        assert val == 1.0
+        assert self._average([ConstantScorer(2)] * 4, [ep] * 4) == 1.0
 
     def test_constructed_mean(self):
         # per-episode losses 0, 0.5, 1 -> mean 0.5
@@ -193,11 +191,11 @@ class TestAverageEmpiricalLoss:
         half = TableScorer([[0.5, 0.0]], b=5.0)
         zero = ConstantScorer(2, b=5.0)
         ep = index_episode([1], 2)
-        scorers = iter([perfect, half, zero])
-        val = average_empirical_loss(self._meta([ep, ep, ep]), lambda e: next(scorers), 1.0, "margin")
-        assert val == pytest.approx(0.5)
+        assert self._average([perfect, half, zero], [ep] * 3) == pytest.approx(0.5)
 
     def test_bad_loss_kind(self):
+        meta = EpisodeBatch.stack([index_episode([1], 2)])
+        family = FeatureFamily((FeatureMap(id="identity", kind="identity", d=1),))
         with pytest.raises(ValueError):
-            average_empirical_loss(self._meta([index_episode([1], 2)]),
-                                   lambda e: ConstantScorer(2), 1.0, "zero_one")
+            meta_erm_select(meta, family, lambda batch, phi: ConstantScorer(2, episodes=batch.n),
+                            1.0, "zero_one")

@@ -1,6 +1,9 @@
-"""Non-finite inputs are rejected by every validator and by the CLI."""
+"""Non-finite inputs are rejected by every validator and by the CLI, and
+config loading rejects unknown keys, missing keys and mistyped values."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from metamargin.bounds import (
 from metamargin.cli import main
 from metamargin.complexity import FunctionValueMatrix
 from metamargin.core import EnvironmentSpec
+from metamargin.harness import ExperimentConfig
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 BOUND = dict(k=5, rho=1.0, delta=0.1, m=100, n=50, v=17, b=1.0, c0=math.e)
@@ -108,3 +112,70 @@ def test_cli_estimate_exits_2_on_non_finite_matrix(tmp_path, bad):
     assert main(["estimate", "--input", str(path), "--estimator", "massart"]) == 2
     FunctionValueMatrix(values=np.zeros((1, 1)), b=1.0).to_csv(str(path))
     assert main(["estimate", "--input", str(path), "--estimator", "cover", "--eps", bad]) == 2
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+def _config_data(path=(), value=None, delete=False):
+    """The default config as parsed JSON, with the item at ``path`` (keys
+    and list indices) set to ``value`` or deleted."""
+    data = json.loads(DEFAULT_CONFIG.read_text())
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("trails",), 9, "unknown ExperimentConfig keys: trails"),
+    (("environment", "seed"), 1, "unknown EnvironmentSpec keys: seed"),
+    (("family", "groups", 0, "size"), 3, "unknown FamilyGroup keys: size"),
+    (("episode_shape", "r"), 1, "episode_shape needs exactly the keys s and q"),
+    (("trials",), 2.5, "ExperimentConfig.trials must be a JSON int"),
+    (("trials",), True, "ExperimentConfig.trials must be a JSON int"),
+    (("bound", "n"), "50", "BoundInputs.n must be a JSON int"),
+    (("family", "groups", 1, "count"), 4.5, "FamilyGroup.count must be a JSON int"),
+    (("record_timing",), "false", "ExperimentConfig.record_timing must be a JSON bool"),
+    (("environment", "balanced"), 1, "EnvironmentSpec.balanced must be a JSON bool"),
+    (("loss_kind",), 1, "ExperimentConfig.loss_kind must be a JSON str"),
+    (("learner", "kind"), None, "LearnerSpec.kind must be a JSON str"),
+    (("output_path",), 7, "ExperimentConfig.output_path must be a JSON str"),
+    (("bound", "rho"), True, "BoundInputs.rho must be a JSON float"),
+    (("bound", "rho"), "1.0", "BoundInputs.rho must be a JSON float"),
+    (("family", "groups"), {"kind": "identity", "count": 1}, "FamilySpec.groups must be a JSON array"),
+    (("episode_shape",), [5, 15], "episode_shape needs exactly the keys s and q"),
+    (("environment",), [16, 5], "EnvironmentSpec needs a JSON object"),
+])
+def test_config_rejects_unknown_keys_and_mistyped_values(path, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(_config_data(path, value))
+
+
+@pytest.mark.parametrize("path,message", [
+    (("trials",), "ExperimentConfig is missing the required key 'trials'"),
+    (("environment",), "ExperimentConfig is missing the required key 'environment'"),
+    (("bound", "k"), "BoundInputs is missing the required key 'k'"),
+    (("family", "groups", 0, "kind"), "FamilyGroup is missing the required key 'kind'"),
+    (("episode_shape", "q"), "episode_shape needs exactly the keys s and q"),
+])
+def test_config_missing_required_key_is_a_value_error(path, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(_config_data(path, delete=True))
+
+
+def test_config_accepts_json_numbers_of_either_kind_and_null_optionals():
+    config = ExperimentConfig.from_json(_config_data(("bound", "rho"), 1))
+    assert config.bound.rho == 1.0 and isinstance(config.bound.rho, float)
+    config = ExperimentConfig.from_json(_config_data(("trials",), 3.0))
+    assert config.trials == 3 and isinstance(config.trials, int)
+    data = _config_data(("family", "groups", 0, "d"), None)
+    data.update(output_path=None, episode_shape=None)
+    config = ExperimentConfig.from_json(data)
+    assert config.output_path is None and config.episode_shape is None
+    assert config.family.groups[0].d is None
