@@ -224,12 +224,19 @@ def _normalized_sq_dists(vals: np.ndarray) -> np.ndarray:
 
 
 def _greedy_cover_from_sq_dists(d2: np.ndarray, eps: float) -> list[int]:
-    centers: list[int] = []
+    # First fit: row i opens a center when min over earlier centers c of
+    # d2[i, c] exceeds eps^2. near[j] holds that minimum for every row j,
+    # so the next center is the first later row with near > eps^2.
     eps_sq = eps * eps
-    for i in range(d2.shape[0]):
-        if not centers or min(d2[i, c] for c in centers) > eps_sq:
-            centers.append(i)
-    return centers
+    centers = [0]
+    near = d2[:, 0].copy()
+    while True:
+        i = centers[-1]
+        later = np.flatnonzero(near[i + 1:] > eps_sq)
+        if later.size == 0:
+            return centers
+        centers.append(i + 1 + int(later[0]))
+        np.minimum(near, d2[:, centers[-1]], out=near)
 
 
 def greedy_epsilon_cover(A: FunctionValueMatrix, eps: float) -> tuple[list[int], int]:

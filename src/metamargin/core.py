@@ -9,12 +9,16 @@ Gaussian prior whose scale is set by the environment.
 
 Every sampler is a pure function of (spec, seed). Child seeds are
 derived from a master seed with a splitmix64-style mixer so that
-results do not depend on execution order or parallelism degree.
+results do not depend on execution order or parallelism degree. Each
+task or episode draws from the stream ``np.random.default_rng(seed)``
+would give; the samplers derive every stream's PCG64 state for a whole
+batch of seeds at once and set one generator to each in turn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,15 +26,23 @@ import numpy as np
 
 MIN_NOISE_SIGMA = 1e-12
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """splitmix64 of a Python int, or of each entry of a uint64 array."""
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _child_seeds(masters, indices):
+    """Child ``indices`` of the master seeds ``masters``: Python ints, or
+    uint64 arrays (with a Python int) that broadcast together."""
+    return _splitmix64(_splitmix64(masters & _MASK64) ^ (indices & _MASK64))
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,90 @@ class SeedPolicy:
     def child(self, index: int) -> int:
         if index < 0:
             raise ValueError(f"unit index must be >= 0, got {index}")
-        return _splitmix64(_splitmix64(self.master_seed & _MASK64) ^ (index & _MASK64))
+        return _child_seeds(int(self.master_seed), int(index))
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``steps`` successive SeedSequence
+    hash steps: each step multiplies the running constant by ``mult``."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts[:-1], dtype=np.uint32)[:, None], np.array(consts[1:], dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence with its pool of four 32-bit words: 4 hash steps
+# take in the entropy and 12 mix every word into every other; 8 hash
+# steps with their own constants read out 4 uint64 words. Then PCG64's
+# default 128-bit LCG multiplier.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` of each
+    uint64 seed s, as an (n, 4) array.
+
+    A seed's entropy is its one or two little-endian 32-bit words; the
+    pool has four words and a missing word hashes like a zero word, so
+    every seed takes the two-word path.
+    """
+    def hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+        values = (values ^ xor) * mul
+        return values ^ (values >> np.uint32(16))
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = np.zeros((4, seeds.shape[0]), dtype=np.uint32)
+    words[0] = seeds & _MASK32
+    words[1] = seeds >> 32
+    pool = hashmix(words, _POOL_XOR[:4], _POOL_MUL[:4])
+    for src in range(4):
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - hashmix(pool[src], _POOL_XOR[steps], _POOL_MUL[steps]) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MUL).astype(np.uint64)
+    return (out[0::2] | (out[1::2] << np.uint64(32))).T
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, c_hi: int, c_lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * (c_hi, c_lo) mod 2**128, with uint64 halves."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = c_lo & _MASK32, c_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
+    lo_hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry
+    return lo_hi + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _stream_states(seeds: np.ndarray) -> list[dict]:
+    """The bit-generator state ``np.random.default_rng(s)`` starts in, for
+    each uint64 seed s.
+
+    PCG64 seeds from the seed sequence's four words (initial state, then
+    stream) by srandom: inc = 2*stream + 1, state = (inc + initial)*M + inc.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds).T
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    hi, lo = _mul128(hi, lo, _PCG64_MULT_HI, _PCG64_MULT_LO)
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return [{"bit_generator": "PCG64", "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+             "has_uint32": 0, "uinteger": 0}
+            for sh, sl, ih, il in zip(state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
+
+
+def _one_stream(seed: int) -> list[dict]:
+    """The stream state of one caller's seed, which must lie in [0, 2**64)."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return _stream_states(np.array([seed], dtype=np.uint64))
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -233,15 +328,20 @@ class EnvironmentSpec:
             raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
 
 
-def _task_arrays(env: EnvironmentSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prototypes (k, d_raw) and class probabilities (k,) of one task."""
-    rng = np.random.default_rng(seed)
-    protos = rng.normal(0.0, 1.0, size=(env.k, env.d_raw)) * env.prototype_scale
-    if env.balanced:
-        probs = np.full(env.k, 1.0 / env.k)
-    else:
-        probs = rng.dirichlet(np.ones(env.k))
-        probs = probs / probs.sum()
+def _draw_tasks(env: EnvironmentSpec, states: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """Prototypes (n, k, d_raw) and class probabilities (n, k) of the
+    task drawn from each of n stream states."""
+    n = len(states)
+    protos = np.empty((n, env.k, env.d_raw))
+    probs = np.full((n, env.k), 1.0 / env.k)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for l, state in enumerate(states):
+        rng.bit_generator.state = state
+        rng.standard_normal(out=protos[l])
+        if not env.balanced:
+            p = rng.dirichlet(np.ones(env.k))
+            probs[l] = p / p.sum()
+    protos *= env.prototype_scale
     return protos, probs
 
 
@@ -251,17 +351,27 @@ def _kway_labels(k: int, s: int, q: int) -> np.ndarray:
     return np.concatenate([np.repeat(classes, s), np.repeat(classes, q)])
 
 
-def _episode_arrays(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
-                    ys: Optional[np.ndarray], seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys) of one episode: the given labels, or m i.i.d. labels drawn
-    from probs when ys is None, each point its prototype plus noise."""
+def _draw_episodes(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
+                   labels: Optional[np.ndarray], states: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """(xs (n, m, d_raw), ys (n, m)) of one episode per task l, drawn from
+    stream states[l]: the given labels, or m i.i.d. labels drawn from probs[l]
+    when labels is None, each point its prototype plus noise."""
     # A k-way episode's support and query noise come from one draw; the
     # generator yields the same numbers as drawing the two blocks in turn.
-    rng = np.random.default_rng(seed)
-    if ys is None:
-        ys = rng.choice(probs.shape[0], size=m, p=probs) + 1
-    noise = rng.normal(0.0, sigma, size=(ys.shape[0], protos.shape[1]))
-    return protos[ys - 1] + noise, ys
+    n, k, d = protos.shape
+    xs = np.empty((n, m, d))
+    ys = np.empty((n, m), dtype=np.int64)
+    if labels is not None:
+        ys[:] = labels
+    rng = np.random.Generator(np.random.PCG64(0))
+    for l, state in enumerate(states):
+        rng.bit_generator.state = state
+        if labels is None:
+            ys[l] = rng.choice(k, size=m, p=probs[l]) + 1
+        rng.standard_normal(out=xs[l])
+    xs *= sigma
+    xs += protos[np.arange(n)[:, None], ys - 1]
+    return xs, ys
 
 
 def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
@@ -269,18 +379,20 @@ def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
 
     Prototypes are i.i.d. centered Gaussian with per-coordinate std
     ``prototype_scale``; class probabilities are uniform when the
-    environment is balanced and a flat Dirichlet draw otherwise.
+    environment is balanced and a flat Dirichlet draw otherwise. The
+    seed must lie in [0, 2**64).
     """
-    protos, probs = _task_arrays(env, seed)
-    return TaskSpec(prototypes=protos, noise_sigma=env.noise_sigma, class_probs=probs)
+    protos, probs = _draw_tasks(env, _one_stream(seed))
+    return TaskSpec(prototypes=protos[0], noise_sigma=env.noise_sigma, class_probs=probs[0])
 
 
 def sample_episode(task: TaskSpec, m: int, seed: int) -> Episode:
     """Draw m i.i.d. labeled examples from the task."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    xs, ys = _episode_arrays(task.prototypes, task.class_probs, task.noise_sigma, m, None, seed)
-    return Episode(xs=xs, ys=ys, k=task.k)
+    xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma, m,
+                            None, _one_stream(seed))
+    return Episode(xs=xs[0], ys=ys[0], k=task.k)
 
 
 def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int) -> Episode:
@@ -293,9 +405,9 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
         raise ValueError(f"task has {task.k} classes, expected {k}")
     if s < 1 or q < 1:
         raise ValueError(f"s and q must be >= 1, got s={s}, q={q}")
-    xs, ys = _episode_arrays(task.prototypes, task.class_probs, task.noise_sigma, k * (s + q),
-                             _kway_labels(k, s, q), seed)
-    return Episode(xs=xs, ys=ys, k=k, split=s)
+    xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma,
+                            k * (s + q), _kway_labels(k, s, q), _one_stream(seed))
+    return Episode(xs=xs[0], ys=ys[0], k=k, split=s)
 
 
 # One episode per task: its size m, and (s, q) for a k-way s-shot
@@ -330,17 +442,17 @@ def sample_episode_batches(
             if m != env.k * (s + q):
                 raise ValueError(f"m={m} must equal k*(s+q)={env.k * (s + q)}")
     sigma = max(float(env.noise_sigma), MIN_NOISE_SIGMA)  # as TaskSpec clamps it
-    labels = [None if shape is None else _kway_labels(env.k, *shape) for _, shape in plan]
-    xs = [np.empty((count, m, env.d_raw)) for m, _ in plan]
-    ys = [np.empty((count, m), dtype=np.int64) for m, _ in plan]
-    policy = SeedPolicy(seed)
-    for l in range(count):
-        unit = SeedPolicy(policy.child(l))
-        protos, probs = _task_arrays(env, unit.child(0))
-        for i, (m, _) in enumerate(plan):
-            xs[i][l], ys[i][l] = _episode_arrays(protos, probs, sigma, m, labels[i], unit.child(i + 1))
-    return tuple(EpisodeBatch(x, y, env.k, None if shape is None else shape[0])
-                 for x, y, (_, shape) in zip(xs, ys, plan))
+    units = _child_seeds(int(seed), np.arange(count, dtype=np.uint64))
+    seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
+    states = _stream_states(seeds.ravel())
+    streams = [states[j * count:(j + 1) * count] for j in range(len(plan) + 1)]
+    protos, probs = _draw_tasks(env, streams[0])
+    batches = []
+    for i, (m, shape) in enumerate(plan):
+        labels = None if shape is None else _kway_labels(env.k, *shape)
+        xs, ys = _draw_episodes(protos, probs, sigma, m, labels, streams[i + 1])
+        batches.append(EpisodeBatch(xs, ys, env.k, None if shape is None else shape[0]))
+    return tuple(batches)
 
 
 def sample_meta_sample(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -453,7 +454,8 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     the hold frequency per bound kind.
 
     Failed trials are dropped from the rows and from frequency
-    denominators but counted in the summary.
+    denominators but counted in the summary, in total and by exception
+    type (``failed_by_reason``).
     """
     root = SeedPolicy(config.seed)
     family = build_family(config.family, config.environment.d_raw, root.child(0))
@@ -461,11 +463,12 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     expected = estimate_expected_complexities(config, family, base_learner, root.child(2))
     trials_root = SeedPolicy(root.child(1))
 
-    def run(t: int) -> Optional[ResultRow]:
+    def run(t: int) -> ResultRow | str:
+        """The trial's row, or the name of the exception that failed it."""
         try:
             return _run_trial(t, config, family, base_learner, expected, trials_root.child(t))
-        except (ValueError, NumericError):
-            return None
+        except (ValueError, NumericError) as exc:
+            return type(exc).__name__
 
     if config.workers == 1:
         results = [run(t) for t in range(config.trials)]
@@ -473,11 +476,12 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run, range(config.trials)))
 
-    rows = [r for r in results if r is not None]
-    failed = config.trials - len(rows)
+    rows = [r for r in results if isinstance(r, ResultRow)]
+    reasons = Counter(r for r in results if isinstance(r, str))
     summary: dict = {
         "trials": config.trials,
-        "failed_trials": failed,
+        "failed_trials": config.trials - len(rows),
+        "failed_by_reason": dict(sorted(reasons.items())),
         "expected_complexities": asdict(expected),
     }
     if rows:
@@ -536,8 +540,9 @@ def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> Experiment
 def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[dict]:
     """Run one bound-validity experiment per axis value.
 
-    Invalid values produce a row with status "error" and the sweep
-    continues. Rows come back in input order.
+    Invalid values, and values at which every trial fails, produce a
+    row with status "error" and the sweep continues. Rows come back in
+    input order.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -549,8 +554,11 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[
         try:
             sub_config = _apply_axis(config, axis, value)
             _, summary = bound_validity_experiment(sub_config)
+            if summary["failed_trials"] == summary["trials"]:
+                reasons = ", ".join(f"{name}: {count}" for name, count in summary["failed_by_reason"].items())
+                raise NumericError(f"all {summary['trials']} trials failed ({reasons})")
             row["trials"] = summary["trials"] - summary["failed_trials"]
-            row.update({name: summary.get(name, float("nan")) for name in SWEEP_METRICS})
+            row.update({name: summary[name] for name in SWEEP_METRICS})
         except (ValueError, NumericError) as exc:
             row["status"] = "error"
             row["error"] = str(exc)

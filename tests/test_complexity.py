@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer
 from metamargin.complexity import (
+    _greedy_cover_from_sq_dists,
+    _normalized_sq_dists,
     ComplexityEstimate,
     FunctionValueMatrix,
     build_pi1f_restriction,
@@ -237,6 +240,30 @@ class TestGreedyCover:
         A = FunctionValueMatrix(values=np.ones((1, 1)), b=1.0)
         with pytest.raises(ValueError):
             greedy_epsilon_cover(A, 0.0)
+
+
+def loop_cover(d2, eps):
+    """Reference first-fit cover: row i opens a center when every earlier
+    center c has d2[i, c] > eps^2."""
+    centers = []
+    for i in range(d2.shape[0]):
+        if not centers or min(d2[i, c] for c in centers) > eps * eps:
+            centers.append(i)
+    return centers
+
+
+@given(st.integers(1, 40), st.sampled_from(["rows", "asymmetric", "ties"]),
+       st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_vectorized_cover_matches_loop(n, kind, eps, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rows":
+        d2 = _normalized_sq_dists(rng.uniform(-1, 1, size=(n, int(rng.integers(1, 6)))))
+    elif kind == "asymmetric":
+        d2 = rng.uniform(0.0, 4.0, size=(n, n))
+    else:  # integer distances at eps = 1 put rows exactly on the boundary
+        d2, eps = rng.integers(0, 3, size=(n, n)).astype(np.float64), 1.0
+    assert _greedy_cover_from_sq_dists(d2, eps) == loop_cover(d2, eps)
 
 
 class TestDudley:

@@ -4,8 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metamargin.core import (
+    _child_seeds,
+    _seed_sequence_state,
+    _stream_states,
     EnvironmentSpec,
     Episode,
     EpisodeBatch,
@@ -36,6 +40,47 @@ class TestSeedPolicy:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             SeedPolicy(0).child(-1)
+
+    @given(st.integers(-2**70, 2**70))
+    def test_bulk_children_match_child(self, master):
+        p = SeedPolicy(master)
+        units = _child_seeds(master, np.arange(20, dtype=np.uint64))
+        assert units.dtype == np.uint64 and units.tolist() == [p.child(i) for i in range(20)]
+        streams = _child_seeds(units[:, None], np.arange(3, dtype=np.uint64))
+        assert streams.tolist() == [[SeedPolicy(u).child(j) for j in range(3)] for u in units.tolist()]
+
+
+SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
+
+
+@given(SEEDS)
+@example([0, 2**32 - 1, 2**32, 2**64 - 1])
+@settings(deadline=None)
+def test_bulk_seeding_matches_default_rng(seeds):
+    # numpy's documented seeding is the oracle: SeedSequence words, then
+    # the streams of default_rng.
+    arr = np.array(seeds, dtype=np.uint64)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s, words, state in zip(seeds, _seed_sequence_state(arr), _stream_states(arr)):
+        assert np.array_equal(words, np.random.SeedSequence(s).generate_state(4, np.uint64))
+        ref = np.random.default_rng(s)
+        assert state == ref.bit_generator.state
+        rng.bit_generator.state = state
+        assert np.array_equal(rng.standard_normal(9), ref.standard_normal(9))
+        assert np.array_equal(rng.dirichlet(np.ones(4)), ref.dirichlet(np.ones(4)))
+        p = [0.1, 0.2, 0.3, 0.4]
+        assert np.array_equal(rng.choice(4, size=11, p=p), ref.choice(4, size=11, p=p))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    task = sample_task(ENV, 0)
+    with pytest.raises(ValueError):
+        sample_task(ENV, seed)
+    with pytest.raises(ValueError):
+        sample_episode(task, 10, seed)
+    with pytest.raises(ValueError):
+        sample_kway_sshot_episode(task, 5, 1, 1, seed)
 
 
 class TestTypes:

@@ -63,6 +63,18 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def unsplit_config(m, n, trials):
+    """configs/default.json with k=3, unsplit m-point episodes, 200 Monte
+    Carlo draws and seed 5: a trial whose meta-sample has an episode that
+    misses a class fails."""
+    data = json.loads((CONFIGS / "default.json").read_text())
+    data["environment"]["k"] = 3
+    data["bound"].update(k=3, m=m, n=n)
+    del data["episode_shape"]
+    data.update(trials=trials, mc_draws=200, seed=5)
+    return ExperimentConfig.from_json(data)
+
+
 class TestEstimateTransferRisk:
     def test_point_mass_environment(self):
         env = EnvironmentSpec(d_raw=4, k=2, prototype_scale=10.0, noise_sigma=1e-12)
@@ -144,6 +156,16 @@ class TestBoundValidity:
         rows3, _ = bound_validity_experiment(small_config(workers=3))
         assert rows1 == rows3
 
+    def test_failed_trials_counted_by_reason(self, tmp_path):
+        rows, summary = bound_validity_experiment(unsplit_config(m=8, n=3, trials=6))
+        assert summary["failed_trials"] == 3 and summary["failed_by_reason"] == {"ValueError": 3}
+        path = str(tmp_path / "rows.csv")
+        write_result_rows(rows, path)
+        lines = open(path).read().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + 3  # the reasons stay out of the CSV
+        _, clean = bound_validity_experiment(small_config())
+        assert clean["failed_trials"] == 0 and clean["failed_by_reason"] == {}
+
 
 class TestResultCsv:
     CASTS = {"int": int, "float": float, "bool": lambda cell: bool(int(cell))}
@@ -212,6 +234,15 @@ class TestSweep:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             sweep(small_config(), "delta", [0.1])
+
+    def test_value_where_every_trial_fails_is_an_error(self, tmp_path):
+        rows = sweep(unsplit_config(m=4, n=50, trials=3), "n", [3])
+        assert rows[0]["status"] == "error"
+        assert rows[0]["error"] == "all 3 trials failed (ValueError: 3)"
+        path = str(tmp_path / "sweep.csv")
+        write_sweep_rows(rows, path)
+        line = open(path, newline="").read().split("\n")[1]
+        assert line == "n,3,error,0" + "," * 12 + "all 3 trials failed (ValueError: 3)"
 
     def test_error_text_stays_on_one_row(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
