@@ -31,7 +31,6 @@ from .complexity import (
 )
 from .core import (
     EnvironmentSpec,
-    Episode,
     EpisodeBatch,
     SeedPolicy,
     TaskSpec,
@@ -69,8 +68,6 @@ from .learners import (
 )
 from .losses import (
     ScoringFunction,
-    empirical_margin_loss,
-    empirical_multi_margin_loss,
     episode_losses,
     margin,
     margin_loss,

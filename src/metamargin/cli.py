@@ -39,6 +39,7 @@ from .complexity import (
     rademacher_complexity_mc,
 )
 from .harness import (
+    SWEEP_AXES,
     ExperimentConfig,
     bound_validity_experiment,
     sweep,
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter axis")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True, choices=["n", "m", "rho", "s"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--output", default=None)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import Episode, EpisodeBatch
+from .core import EpisodeBatch
 from .learners import BaseLearner, FeatureFamily, require_fitted
 
 # Keep one MC noise chunk below ~64 MB of float64 entries.
@@ -139,7 +139,7 @@ def _restriction_values(batch: EpisodeBatch, family: FeatureFamily, base_learner
 
 
 def build_pi1f_restriction(
-    data: Union[Episode, EpisodeBatch],
+    batch: EpisodeBatch,
     family: FeatureFamily,
     base_learner: BaseLearner,
     k: int,
@@ -148,11 +148,10 @@ def build_pi1f_restriction(
 
     Per feature map one batched fit trains a scorer on each episode;
     the column block for episode l holds that scorer's values on
-    episode l's own m points. Shape is (k * |family|) x m for a single
-    episode and (k * |family|) x (n * m) for a batch. Raises the
-    base-learner's error if it fails on any episode.
+    episode l's own m points, so the shape is (k * |family|) x (n * m).
+    Raises the base-learner's error if it fails on any episode.
     """
-    values, scorers, b, labels = _restriction_values(EpisodeBatch.of(data), family, base_learner, k)
+    values, scorers, b, labels = _restriction_values(batch, family, base_learner, k)
     for scorer in scorers:
         require_fitted(scorer)
     return FunctionValueMatrix(values=values.reshape(len(labels), -1), b=b, labels=labels)
@@ -164,8 +163,9 @@ def episode_restrictions(
     base_learner: BaseLearner,
     k: int,
 ) -> list[Optional[FunctionValueMatrix]]:
-    """The single-episode restriction of each episode of the batch, as
-    ``build_pi1f_restriction`` gives it, from one batched fit per map;
+    """The restriction of each episode of the batch, as
+    ``build_pi1f_restriction`` gives it for that episode as a batch of
+    one, from one batched fit per map;
     None for an episode the base-learner failed on for some map."""
     values, scorers, b, labels = _restriction_values(batch, family, base_learner, k)
     failed = np.any([scorer.failed for scorer in scorers], axis=0)

@@ -151,90 +151,17 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_arrays(xs, ys, k: int, split: Optional[int], batched: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Validated read-only float64 inputs and int64 labels of one episode
-    (xs (m, d), ys (m,)) or of a stack of them (xs (n, m, d), ys (n, m))."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.int64)
-    lead = 1 if batched else 0
-    if xs.ndim != lead + 2 or ys.ndim != lead + 1 or xs.shape[:-1] != ys.shape:
-        raise ValueError("xs must be (n, m, d) and ys must be (n, m)" if batched
-                         else "xs must be (m, d) and ys must be (m,)")
-    if batched and xs.shape[0] < 1:
-        raise ValueError("a batch needs at least one episode")
-    m = xs.shape[-2]
-    if m < 1:
-        raise ValueError("episode must contain at least one example")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("episode inputs must be finite")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if ys.min() < 1 or ys.max() > k:
-        raise ValueError(f"labels must lie in 1..{k}")
-    if split is not None:
-        s = int(split)
-        if s < 1 or k * s >= m:
-            raise ValueError(f"support size s={s} requires k*s < m={m}")
-        if (m - k * s) % k != 0:
-            raise ValueError(f"m={m} must equal k*(s+q) for integer q >= 1")
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return xs, ys
-
-
-class _Portions:
-    """Support and query portions of an Episode or of every episode of an
-    EpisodeBatch: with a split s, the first k*s examples are support."""
-
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) of the support portion; everything if unsplit."""
-        if self.split is None:
-            return self.xs, self.ys
-        cut = self.k * self.split
-        return self.xs[..., :cut, :], self.ys[..., :cut]
-
-    def query(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) of the query portion; everything if unsplit."""
-        if self.split is None:
-            return self.xs, self.ys
-        cut = self.k * self.split
-        return self.xs[..., cut:, :], self.ys[..., cut:]
-
-
 @dataclass(frozen=True, eq=False)
-class Episode(_Portions):
-    """m labeled examples from one task, stored as arrays.
-
-    xs has shape (m, d_raw) and ys holds integer labels in 1..k. If
-    ``split`` is set to a support size s, the first k*s examples are
-    the support portion and the remaining k*q are query, with
-    m = k*(s+q).
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    k: int
-    split: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        xs, ys = _checked_arrays(self.xs, self.ys, self.k, self.split, batched=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    @property
-    def m(self) -> int:
-        return self.xs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class EpisodeBatch(_Portions):
+class EpisodeBatch:
     """n episodes of one shape, stacked along a leading episode axis.
 
-    xs has shape (n, m, d_raw) and ys (n, m), labels in 1..k; ``split``
-    means what it means for an Episode and holds for every episode. A
-    meta-sample is a batch whose episodes come from n independently
-    drawn tasks. Inputs and labels are validated once, on the stack.
-    Indexing gives episode i as an Episode.
+    xs has shape (n, m, d_raw) and ys (n, m), labels in 1..k. If
+    ``split`` is set to a support size s, the first k*s examples of
+    every episode are its support portion and the remaining k*q its
+    query portion, with m = k*(s+q). A meta-sample is a batch whose
+    episodes come from n independently drawn tasks; a single episode is
+    a batch with n = 1. Inputs and labels are validated once, on the
+    stack.
     """
 
     xs: np.ndarray
@@ -243,25 +170,31 @@ class EpisodeBatch(_Portions):
     split: Optional[int] = None
 
     def __post_init__(self) -> None:
-        xs, ys = _checked_arrays(self.xs, self.ys, self.k, self.split, batched=True)
+        xs = np.asarray(self.xs, dtype=np.float64)
+        ys = np.asarray(self.ys, dtype=np.int64)
+        if xs.ndim != 3 or ys.ndim != 2 or xs.shape[:-1] != ys.shape:
+            raise ValueError("xs must be (n, m, d) and ys must be (n, m)")
+        n, m = ys.shape
+        if n < 1:
+            raise ValueError("a batch needs at least one episode")
+        if m < 1:
+            raise ValueError("episode must contain at least one example")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("episode inputs must be finite")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if ys.min() < 1 or ys.max() > self.k:
+            raise ValueError(f"labels must lie in 1..{self.k}")
+        if self.split is not None:
+            s = int(self.split)
+            if s < 1 or self.k * s >= m:
+                raise ValueError(f"support size s={s} requires k*s < m={m}")
+            if (m - self.k * s) % self.k != 0:
+                raise ValueError(f"m={m} must equal k*(s+q) for integer q >= 1")
+        xs.setflags(write=False)
+        ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-
-    @classmethod
-    def stack(cls, episodes) -> "EpisodeBatch":
-        """Stack episodes that share m, k and split."""
-        eps = tuple(episodes)
-        if not eps:
-            raise ValueError("a batch needs at least one episode")
-        first = eps[0]
-        if any((e.m, e.k, e.split) != (first.m, first.k, first.split) for e in eps):
-            raise ValueError("all episodes must share identical m, k and split")
-        return cls(np.stack([e.xs for e in eps]), np.stack([e.ys for e in eps]), first.k, first.split)
-
-    @classmethod
-    def of(cls, data: "Episode | EpisodeBatch") -> "EpisodeBatch":
-        """``data`` itself if it is a batch, else a batch of that one episode."""
-        return data if isinstance(data, EpisodeBatch) else cls.stack([data])
 
     @property
     def n(self) -> int:
@@ -271,11 +204,16 @@ class EpisodeBatch(_Portions):
     def m(self) -> int:
         return self.xs.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
+    def _cut(self) -> Optional[int]:
+        return None if self.split is None else self.k * self.split
 
-    def __getitem__(self, i: int) -> Episode:
-        return Episode(xs=self.xs[i], ys=self.ys[i], k=self.k, split=self.split)
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) of every episode's support portion; everything if unsplit."""
+        return self.xs[:, :self._cut()], self.ys[:, :self._cut()]
+
+    def query(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) of every episode's query portion; everything if unsplit."""
+        return self.xs[:, self._cut():], self.ys[:, self._cut():]
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,17 +324,19 @@ def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
     return TaskSpec(prototypes=protos[0], noise_sigma=env.noise_sigma, class_probs=probs[0])
 
 
-def sample_episode(task: TaskSpec, m: int, seed: int) -> Episode:
-    """Draw m i.i.d. labeled examples from the task."""
+def sample_episode(task: TaskSpec, m: int, seed: int) -> EpisodeBatch:
+    """Draw m i.i.d. labeled examples from the task, as a batch of one
+    episode."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma, m,
                             None, _one_stream(seed))
-    return Episode(xs=xs[0], ys=ys[0], k=task.k)
+    return EpisodeBatch(xs, ys, task.k)
 
 
-def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int) -> Episode:
-    """Draw an episode with exactly s support and q query examples per class.
+def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int) -> EpisodeBatch:
+    """Draw an episode with exactly s support and q query examples per
+    class, as a batch of one episode.
 
     The first k*s examples are the support portion (class-major order),
     the remaining k*q the query portion; m = k*(s+q).
@@ -407,7 +347,7 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
         raise ValueError(f"s and q must be >= 1, got s={s}, q={q}")
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma,
                             k * (s + q), _kway_labels(k, s, q), _one_stream(seed))
-    return Episode(xs=xs[0], ys=ys[0], k=k, split=s)
+    return EpisodeBatch(xs, ys, k, s)
 
 
 # One episode per task: its size m, and (s, q) for a k-way s-shot

@@ -455,7 +455,8 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
 
     Failed trials are dropped from the rows and from frequency
     denominators but counted in the summary, in total and by exception
-    type (``failed_by_reason``).
+    type (``failed_by_reason``). If every trial fails, NumericError is
+    raised with those counts.
     """
     root = SeedPolicy(config.seed)
     family = build_family(config.family, config.environment.d_raw, root.child(0))
@@ -477,26 +478,28 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
             results = list(pool.map(run, range(config.trials)))
 
     rows = [r for r in results if isinstance(r, ResultRow)]
-    reasons = Counter(r for r in results if isinstance(r, str))
+    reasons = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
+    if not rows:
+        counts = ", ".join(f"{name}: {count}" for name, count in reasons.items())
+        raise NumericError(f"all {config.trials} trials failed ({counts})")
     summary: dict = {
         "trials": config.trials,
         "failed_trials": config.trials - len(rows),
-        "failed_by_reason": dict(sorted(reasons.items())),
+        "failed_by_reason": reasons,
         "expected_complexities": asdict(expected),
     }
-    if rows:
-        for kind in ("vc", "gaussian", "covering", "surrogate"):
-            flags = [getattr(r, f"holds_{kind}") for r in rows]
-            summary[f"hold_freq_{kind}"] = sum(flags) / len(rows)
-            summary[f"mean_bound_{kind}"] = float(np.mean([getattr(r, f"bound_{kind}") for r in rows]))
-        summary["vacuous_freq_vc"] = sum(r.vacuous_vc for r in rows) / len(rows)
-        summary["mean_avg_empirical_loss"] = float(np.mean([r.avg_empirical_loss for r in rows]))
-        summary["mean_transfer_risk"] = float(np.mean([r.transfer_risk for r in rows]))
-        summary["mean_test_accuracy"] = float(np.mean([r.test_accuracy for r in rows]))
-        summary["test_accuracy_se"] = (
-            float(np.std([r.test_accuracy for r in rows], ddof=1) / math.sqrt(len(rows)))
-            if len(rows) > 1 else 0.0
-        )
+    for kind in ("vc", "gaussian", "covering", "surrogate"):
+        flags = [getattr(r, f"holds_{kind}") for r in rows]
+        summary[f"hold_freq_{kind}"] = sum(flags) / len(rows)
+        summary[f"mean_bound_{kind}"] = float(np.mean([getattr(r, f"bound_{kind}") for r in rows]))
+    summary["vacuous_freq_vc"] = sum(r.vacuous_vc for r in rows) / len(rows)
+    summary["mean_avg_empirical_loss"] = float(np.mean([r.avg_empirical_loss for r in rows]))
+    summary["mean_transfer_risk"] = float(np.mean([r.transfer_risk for r in rows]))
+    summary["mean_test_accuracy"] = float(np.mean([r.test_accuracy for r in rows]))
+    summary["test_accuracy_se"] = (
+        float(np.std([r.test_accuracy for r in rows], ddof=1) / math.sqrt(len(rows)))
+        if len(rows) > 1 else 0.0
+    )
     return rows, summary
 
 
@@ -508,55 +511,49 @@ def write_result_rows(rows: Sequence[ResultRow], path: str) -> None:
 
 
 def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    """``config`` with a finite ``value`` set on ``axis``, one of SWEEP_AXES."""
+    if axis == "rho":
+        if value <= 0:
+            raise ValueError(f"axis rho needs a positive value, got {value}")
+        return replace(config, bound=replace(config.bound, rho=float(value)))
+    if value != int(value) or value < 1:
+        raise ValueError(f"axis {axis} needs a positive integer, got {value}")
+    value = int(value)
     if axis == "n":
-        n = int(value)
-        if n != value or n < 1:
-            raise ValueError(f"axis n needs a positive integer, got {value}")
-        return replace(config, bound=replace(config.bound, n=n))
+        return replace(config, bound=replace(config.bound, n=value))
     if axis == "m":
-        m = int(value)
-        if m != value or m < 1:
-            raise ValueError(f"axis m needs a positive integer, got {value}")
         if config.episode_shape is not None:
             raise ValueError("axis m requires unsplit episodes; sweep s instead")
-        return replace(config, bound=replace(config.bound, m=m))
-    if axis == "rho":
-        rho = float(value)
-        if rho <= 0:
-            raise ValueError(f"axis rho needs a positive value, got {value}")
-        return replace(config, bound=replace(config.bound, rho=rho))
-    if axis == "s":
-        s = int(value)
-        if s != value or s < 1:
-            raise ValueError(f"axis s needs a positive integer, got {value}")
-        if config.episode_shape is None:
-            raise ValueError("axis s requires an episode shape in the config")
-        q = config.episode_shape[1]
-        m = config.bound.k * (s + q)
-        return replace(config, episode_shape=(s, q), bound=replace(config.bound, m=m))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        return replace(config, bound=replace(config.bound, m=value))
+    # axis s
+    if config.episode_shape is None:
+        raise ValueError("axis s requires an episode shape in the config")
+    q = config.episode_shape[1]
+    m = config.bound.k * (value + q)
+    return replace(config, episode_shape=(value, q), bound=replace(config.bound, m=m))
 
 
 def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[dict]:
     """Run one bound-validity experiment per axis value.
 
-    Invalid values, and values at which every trial fails, produce a
-    row with status "error" and the sweep continues. Rows come back in
-    input order.
+    A non-finite value raises ValueError before any run. Other invalid
+    values, and values at which every trial fails, produce a row with
+    status "error" and the sweep continues. Rows come back in input
+    order.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    bad = [value for value in values if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"sweep values must be finite, got {bad}")
     out = []
     for value in values:
         row = {"axis": axis, "value": value, "status": "ok", "error": ""}
         try:
             sub_config = _apply_axis(config, axis, value)
             _, summary = bound_validity_experiment(sub_config)
-            if summary["failed_trials"] == summary["trials"]:
-                reasons = ", ".join(f"{name}: {count}" for name, count in summary["failed_by_reason"].items())
-                raise NumericError(f"all {summary['trials']} trials failed ({reasons})")
             row["trials"] = summary["trials"] - summary["failed_trials"]
             row.update({name: summary[name] for name in SWEEP_METRICS})
         except (ValueError, NumericError) as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Episode, EpisodeBatch
+from .core import EpisodeBatch
 from .losses import LOSS_KINDS, ScoringFunction, episode_losses, margin_terms
 
 FEATURE_KINDS = ("identity", "random_linear", "random_relu")
@@ -150,28 +150,21 @@ def require_fitted(scorer: ScoringFunction) -> ScoringFunction:
     return scorer
 
 
-def _fitted(scorer: ScoringFunction, data: Episode | EpisodeBatch) -> ScoringFunction:
-    # A single episode is fitted as a batch of one and unwrapped.
-    return scorer if isinstance(data, EpisodeBatch) else require_fitted(scorer)[0]
-
-
 class CentroidScorer(ScoringFunction):
     """Scores by normalized negative distance to class centroids.
 
     centroids has shape (n, k, d) and scale (n,) for a scorer fitted on
-    a batch of n episodes; a single episode's scorer has no leading
-    axis and scores (m, d_raw) inputs. Indexing selects one episode's
-    scorer (an int) or a sub-batch (a mask).
+    a batch of n episodes. Indexing selects a sub-batch (a mask) or one
+    episode's scorer (an int), which has no episode axis and scores
+    (m, d_raw) inputs.
     """
 
-    def __init__(self, centroids: np.ndarray, scale, b: float, phi: FeatureMap,
-                 failed: Optional[np.ndarray] = None):
+    def __init__(self, centroids: np.ndarray, scale, b: float, phi: FeatureMap, failed):
         self.centroids = np.asarray(centroids, dtype=np.float64)
         self.scale = np.asarray(scale, dtype=np.float64)
         self.b = float(b)
         self.phi = phi
-        lead = self.centroids.shape[:-2]
-        self.failed = np.zeros(lead, dtype=bool) if failed is None else np.asarray(failed, dtype=bool)
+        self.failed = np.asarray(failed, dtype=bool)
 
     def __getitem__(self, index) -> "CentroidScorer":
         return CentroidScorer(self.centroids[index], self.scale[index], self.b, self.phi,
@@ -195,19 +188,16 @@ class LinearScorer(ScoringFunction):
     """Linear class scores W phi(x), clamped to [-b, b].
 
     W has shape (n, k, d) and loss_history (steps, n) for a scorer
-    fitted on a batch of n episodes; a single episode's scorer has no
-    episode axis. Indexing selects one episode's scorer (an int) or a
-    sub-batch (a mask).
+    fitted on a batch of n episodes. Indexing selects a sub-batch (a
+    mask) or one episode's scorer (an int), which has no episode axis.
     """
 
-    def __init__(self, W: np.ndarray, b: float, phi: FeatureMap,
-                 loss_history=(), failed: Optional[np.ndarray] = None):
+    def __init__(self, W: np.ndarray, b: float, phi: FeatureMap, loss_history, failed):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = float(b)
         self.phi = phi
         self.loss_history = np.asarray(loss_history, dtype=np.float64)
-        lead = self.W.shape[:-2]
-        self.failed = np.zeros(lead, dtype=bool) if failed is None else np.asarray(failed, dtype=bool)
+        self.failed = np.asarray(failed, dtype=bool)
 
     def __getitem__(self, index) -> "LinearScorer":
         return LinearScorer(self.W[index], self.b, self.phi, self.loss_history[:, index],
@@ -221,19 +211,17 @@ class LinearScorer(ScoringFunction):
         return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
 
 
-def nearest_centroid_learn(episode: Episode | EpisodeBatch, phi: FeatureMap, b: float) -> CentroidScorer:
+def nearest_centroid_learn(batch: EpisodeBatch, phi: FeatureMap, b: float) -> CentroidScorer:
     """Fit per-class centroids in feature space, on every episode of a
     batch at once.
 
     score(x, y) = clamp(-||phi(x) - c_y|| / s, -b, b) where s is the
     median pairwise centroid distance (1 if degenerate). Centroids are
     fitted on the training (support) portion; an episode missing a
-    class there is flagged in ``failed``. A single Episode is fitted as
-    a batch of one and a missing class raises ValueError.
+    class there is flagged in ``failed``.
     """
     if b <= 0:
         raise ValueError("b must be > 0")
-    batch = EpisodeBatch.of(episode)
     xs, ys = batch.support()
     k = batch.k
     onehot = _onehot(ys, k)
@@ -247,12 +235,11 @@ def nearest_centroid_learn(episode: Episode | EpisodeBatch, phi: FeatureMap, b: 
     else:
         scale = np.zeros(batch.n)
     scale[scale <= 0.0] = 1.0
-    scorer = CentroidScorer(centroids, scale, b, phi, failed=(counts == 0).any(axis=1))
-    return _fitted(scorer, episode)
+    return CentroidScorer(centroids, scale, b, phi, failed=(counts == 0).any(axis=1))
 
 
 def linear_multimargin_learn(
-    episode: Episode | EpisodeBatch,
+    batch: EpisodeBatch,
     phi: FeatureMap,
     rho: float,
     lam: float,
@@ -266,13 +253,12 @@ def linear_multimargin_learn(
     W starts at zero so the learner is deterministic. The per-step
     objective values are recorded on the returned scorer. An episode
     whose objective or weights turn non-finite is flagged in
-    ``failed``; for a single Episode that raises NumericError.
+    ``failed``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if rho <= 0 or lam < 0 or b <= 0:
         raise ValueError("need rho > 0, lam >= 0, b > 0")
-    batch = EpisodeBatch.of(episode)
     if batch.k < 2:
         raise ValueError("linear learner needs k >= 2")
     xs, ys = batch.support()
@@ -295,11 +281,11 @@ def linear_multimargin_learn(
             grad += 2.0 * lam * W
             W -= step_size * grad
     failed = ~np.isfinite(history).all(axis=0) | ~np.isfinite(W).all(axis=(1, 2))
-    return _fitted(LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed), episode)
+    return LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed)
 
 
 def linear_softmax_learn(
-    episode: Episode | EpisodeBatch,
+    batch: EpisodeBatch,
     phi: FeatureMap,
     lam: float,
     steps: int,
@@ -308,13 +294,11 @@ def linear_softmax_learn(
 ) -> LinearScorer:
     """Cross-entropy comparator: gradient descent on softmax NLL + L2, on
     every episode of a batch at once. An episode whose objective turns
-    non-finite is flagged in ``failed``; for a single Episode that
-    raises NumericError."""
+    non-finite is flagged in ``failed``."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lam < 0 or b <= 0:
         raise ValueError("need lam >= 0, b > 0")
-    batch = EpisodeBatch.of(episode)
     xs, ys = batch.support()
     feats = _features(phi, xs)
     n, m, d = feats.shape
@@ -333,7 +317,7 @@ def linear_softmax_learn(
             grad = np.swapaxes(probs - onehot, 1, 2) @ feats / m + 2.0 * lam * W
             W -= step_size * grad
     failed = ~np.isfinite(history).all(axis=0)
-    return _fitted(LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed), episode)
+    return LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed)
 
 
 @dataclass(frozen=True, eq=False)

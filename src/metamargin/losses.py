@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Episode
-
 LOSS_KINDS = ("margin", "multimargin")
 
 
@@ -106,11 +104,6 @@ def margin_loss_array(rho: float, t: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - np.asarray(t, dtype=np.float64) / rho, 0.0, 1.0)
 
 
-def empirical_margin_loss(f: ScoringFunction, episode: Episode, rho: float) -> float:
-    """Mean ramp loss of the scorer over all m points of the episode."""
-    return float(episode_losses(f.scores_matrix(episode.xs), episode.ys, rho)[0])
-
-
 def multi_margin_loss(f: ScoringFunction, x: np.ndarray, y: int, rho: float, k: int) -> float:
     """Per-competitor hinge average at one point.
 
@@ -121,7 +114,3 @@ def multi_margin_loss(f: ScoringFunction, x: np.ndarray, y: int, rho: float, k: 
     _, hinges = margin_terms(_one_point(f, x, y, k), np.array([y]), rho)
     return float(hinges[0].sum() / (k - 1))
 
-
-def empirical_multi_margin_loss(f: ScoringFunction, episode: Episode, rho: float) -> float:
-    """Mean multi-margin loss over all m points of the episode."""
-    return float(episode_losses(f.scores_matrix(episode.xs), episode.ys, rho)[1])

@@ -2,8 +2,9 @@
 
 The references below are the per-episode implementations the batched
 learners, losses and harness functions replaced: one fit per (map,
-episode) pair, margins and hinges per episode. Batched results must
-match them to 1e-12; only the summation order differs.
+episode) pair, margins and hinges per episode. Each takes one episode
+as a batch of one. Batched results must match them to 1e-12; only the
+summation order differs.
 """
 
 import math
@@ -31,6 +32,7 @@ from metamargin.learners import (
     make_feature_family,
     meta_erm_select,
     nearest_centroid_learn,
+    require_fitted,
 )
 
 TOL = 1e-12
@@ -43,6 +45,18 @@ FAMILY = FeatureFamily(maps=(
 
 
 # -- per-episode references ------------------------------------------------
+
+def episodes(batch):
+    """Each episode of the batch as a batch of one."""
+    return [EpisodeBatch(batch.xs[l:l + 1], batch.ys[l:l + 1], batch.k, batch.split)
+            for l in range(batch.n)]
+
+
+def support(episode):
+    """(xs (m, d), ys (m,)) of the support portion of a batch of one."""
+    xs, ys = episode.support()
+    return xs[0], ys[0]
+
 
 class RefScorer:
     def __init__(self, phi, b, centroids=None, scale=None, W=None, history=()):
@@ -58,7 +72,7 @@ class RefScorer:
 
 
 def ref_centroid(episode, phi, b):
-    xs, ys = episode.support()
+    xs, ys = support(episode)
     feats = phi.apply_matrix(xs)
     centroids = np.empty((episode.k, phi.d))
     for y in range(1, episode.k + 1):
@@ -72,7 +86,7 @@ def ref_centroid(episode, phi, b):
 
 
 def ref_multimargin(episode, phi, rho, lam, steps, step_size, b):
-    xs, ys = episode.support()
+    xs, ys = support(episode)
     feats = phi.apply_matrix(xs)
     m, d = feats.shape
     k = episode.k
@@ -98,7 +112,7 @@ def ref_multimargin(episode, phi, rho, lam, steps, step_size, b):
 
 
 def ref_softmax(episode, phi, lam, steps, step_size, b):
-    xs, ys = episode.support()
+    xs, ys = support(episode)
     feats = phi.apply_matrix(xs)
     m, d = feats.shape
     idx = np.arange(m)
@@ -126,11 +140,11 @@ def ref_margins(scores, ys):
 
 def ref_losses(scorer, episode, rho):
     """(mean ramp loss, mean multi-margin loss) of one episode."""
-    s = scorer.scores_matrix(episode.xs)
-    ramp = np.clip(1.0 - ref_margins(s, episode.ys) / rho, 0.0, 1.0).mean()
+    s, ys = scorer.scores_matrix(episode.xs[0]), episode.ys[0]
+    ramp = np.clip(1.0 - ref_margins(s, ys) / rho, 0.0, 1.0).mean()
     idx = np.arange(episode.m)
-    hinges = np.maximum(0.0, 1.0 - (s[idx, episode.ys - 1][:, None] - s) / rho)
-    hinges[idx, episode.ys - 1] = 0.0
+    hinges = np.maximum(0.0, 1.0 - (s[idx, ys - 1][:, None] - s) / rho)
+    hinges[idx, ys - 1] = 0.0
     return ramp, (hinges.sum(axis=1) / (episode.k - 1)).mean()
 
 
@@ -172,11 +186,11 @@ def test_learners_match_per_episode_loops(kind, layout):
         scorer = batched(batch, phi)
         assert not scorer.failed.any()
         scores = scorer.scores_matrix(batch.xs)
-        for l, episode in enumerate(batch):
+        for l, episode in enumerate(episodes(batch)):
             expected = ref(episode, phi)
-            close(scores[l], expected.scores_matrix(episode.xs))
+            close(scores[l], expected.scores_matrix(episode.xs[0]))
             single = batched(episode, phi)
-            close(single.scores_matrix(episode.xs), scores[l])
+            close(single.scores_matrix(episode.xs)[0], scores[l])
             if expected.W is None:
                 close(scorer.centroids[l], expected.centroids)
                 close(scorer.scale[l], expected.scale)
@@ -193,12 +207,13 @@ def test_missing_class_is_flagged_per_episode():
     phi = FAMILY.maps[1]
     scorer = nearest_centroid_learn(batch, phi, 1.0)
     assert scorer.failed.tolist() == [False, False, True, False]
+    singles = episodes(batch)
     for l in (0, 1, 3):
-        close(scorer[l].centroids, ref_centroid(batch[l], phi, 1.0).centroids)
+        close(scorer[l].centroids, ref_centroid(singles[l], phi, 1.0).centroids)
     with pytest.raises(ValueError):
-        ref_centroid(batch[2], phi, 1.0)
+        ref_centroid(singles[2], phi, 1.0)
     with pytest.raises(ValueError):
-        nearest_centroid_learn(batch[2], phi, 1.0)
+        require_fitted(nearest_centroid_learn(singles[2], phi, 1.0))
 
 
 def test_divergence_is_flagged_per_episode():
@@ -210,11 +225,12 @@ def test_divergence_is_flagged_per_episode():
     phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
     scorer = linear_multimargin_learn(batch, phi, 1.0, 1e3, 25, 1e3, 1.0)
     assert scorer.failed.tolist() == [False, True]
-    close(scorer[0].W, ref_multimargin(batch[0], phi, 1.0, 1e3, 25, 1e3, 1.0).W)
+    singles = episodes(batch)
+    close(scorer[0].W, ref_multimargin(singles[0], phi, 1.0, 1e3, 25, 1e3, 1.0).W)
     with pytest.raises(NumericError):
-        ref_multimargin(batch[1], phi, 1.0, 1e3, 25, 1e3, 1.0)
+        ref_multimargin(singles[1], phi, 1.0, 1e3, 25, 1e3, 1.0)
     with pytest.raises(NumericError):
-        linear_multimargin_learn(batch[1], phi, 1.0, 1e3, 25, 1e3, 1.0)
+        require_fitted(linear_multimargin_learn(singles[1], phi, 1.0, 1e3, 25, 1e3, 1.0))
 
 
 # -- samplers --------------------------------------------------------------
@@ -262,7 +278,7 @@ def test_stacked_sampler_is_bit_identical(balanced):
                     sample_episode(task, 4, unit.child(3))]
         for batch, episode, (xs, ys) in zip(batches, episodes, expected):
             assert np.array_equal(batch.xs[l], xs) and np.array_equal(batch.ys[l], ys)
-            assert np.array_equal(episode.xs, xs) and np.array_equal(episode.ys, ys)
+            assert np.array_equal(episode.xs[0], xs) and np.array_equal(episode.ys[0], ys)
             assert batch.split == episode.split
 
 
@@ -277,7 +293,7 @@ def test_meta_erm_select_matches_loop(kind, loss_kind):
     pick = 0 if loss_kind == "margin" else 1
     averages = []
     for i, phi in enumerate(FAMILY.maps):
-        per_episode = np.array([ref_losses(ref(e, phi), e, 1.0) for e in meta])
+        per_episode = np.array([ref_losses(ref(e, phi), e, 1.0) for e in episodes(meta)])
         close(selection.margin[i], per_episode[:, 0])
         close(selection.multi_margin[i], per_episode[:, 1])
         averages.append(sum(per_episode[:, pick]) / meta.n)
@@ -295,7 +311,7 @@ def test_query_split_accuracy_matches_loop():
         unit = SeedPolicy(policy.child(j))
         episode = sample_kway_sshot_episode(sample_task(ENV, unit.child(0)), ENV.k, 2, 3, unit.child(1))
         qx, qy = episode.query()
-        accs[j] = (ref(episode, phi).scores_matrix(qx).argmax(axis=1) + 1 == qy).mean()
+        accs[j] = (ref(episode, phi).scores_matrix(qx[0]).argmax(axis=1) + 1 == qy[0]).mean()
     acc, se = query_split_accuracy(ENV, phi, batched, (2, 3), 40, 21)
     close(acc, accs.mean())
     close(se, accs.std(ddof=1) / math.sqrt(40))
@@ -324,9 +340,9 @@ def test_transfer_risk_matches_loop(kind, shape, m):
             hits.append(np.zeros(25, dtype=bool))
             continue
         test = sample_episode(task, 25, unit.child(2))
-        scores = scorer.scores_matrix(test.xs)
-        losses.append(np.clip(1.0 - ref_margins(scores, test.ys), 0.0, 1.0))
-        hits.append(scores.argmax(axis=1) + 1 == test.ys)
+        scores = scorer.scores_matrix(test.xs[0])
+        losses.append(np.clip(1.0 - ref_margins(scores, test.ys[0]), 0.0, 1.0))
+        hits.append(scores.argmax(axis=1) + 1 == test.ys[0])
     est = estimate_transfer_risk(ENV, phi, batched, 1.0, m, 30, 25, 31, shape)
     pooled = np.concatenate(losses)
     if shape is None and kind == "nearest_centroid":
@@ -337,10 +353,10 @@ def test_transfer_risk_matches_loop(kind, shape, m):
     close(est.accuracy, np.concatenate(hits).mean())
 
 
-def ref_restriction(episodes):
+def ref_restriction(singles):
     ref = LEARNERS["nearest_centroid"][1]
     return np.concatenate([
-        np.concatenate([ref(e, phi).scores_matrix(e.xs).T for e in episodes], axis=1)
+        np.concatenate([ref(e, phi).scores_matrix(e.xs[0]).T for e in singles], axis=1)
         for phi in FAMILY.maps
     ])
 
@@ -349,9 +365,10 @@ def test_restriction_matches_loop():
     learner = LEARNERS["nearest_centroid"][0]
     meta = sample_meta_sample(ENV, 5, 20, 41, shape=(2, 3))
     A = build_pi1f_restriction(meta, FAMILY, learner, ENV.k)
-    close(A.values, ref_restriction(list(meta)))
-    B = build_pi1f_restriction(meta[3], FAMILY, learner, ENV.k)
-    close(B.values, ref_restriction([meta[3]]))
+    singles = episodes(meta)
+    close(A.values, ref_restriction(singles))
+    B = build_pi1f_restriction(singles[3], FAMILY, learner, ENV.k)
+    close(B.values, ref_restriction([singles[3]]))
     assert A.labels == B.labels
 
 
@@ -360,7 +377,7 @@ def test_episode_restrictions_skip_failed_episodes():
     batch = sample_meta_sample(ENV, 12, 6, 43)
     restrictions = episode_restrictions(batch, FAMILY, learner, ENV.k)
     assert any(A is None for A in restrictions) and any(A is not None for A in restrictions)
-    for episode, A in zip(batch, restrictions):
+    for episode, A in zip(episodes(batch), restrictions):
         if A is None:
             with pytest.raises(ValueError):
                 build_pi1f_restriction(episode, FAMILY, learner, ENV.k)

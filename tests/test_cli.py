@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from metamargin.cli import main
 from metamargin.complexity import FunctionValueMatrix
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CONFIG = {
     "environment": {"d_raw": 8, "k": 3, "prototype_scale": 1.0, "noise_sigma": 1.0,
@@ -146,6 +148,22 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "x.csv")]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_every_trial_failing_exits_3(self, tmp_path, capsys):
+        # configs/default.json at k=3 with unsplit 4-point episodes and
+        # n=3: at seed 5 each trial's meta-sample has an episode that
+        # misses a class, so every trial fails
+        data = json.loads((CONFIGS / "default.json").read_text())
+        data["environment"]["k"] = 3
+        data["bound"].update(k=3, m=4, n=3)
+        del data["episode_shape"]
+        data.update(trials=3, mc_draws=200)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out), "--seed", "5"]) == 3
+        assert "all 3 trials failed (ValueError: 3)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_single_axis_sweep(self, tmp_path, capsys):
@@ -164,5 +182,8 @@ class TestSweepCommand:
 
     def test_bad_values_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "abc",
-                     "--output", str(tmp_path / "s.csv")]) == 2
+        out = tmp_path / "s.csv"
+        for values in ("abc", "inf", "1e400", "nan"):
+            assert main(["sweep", "--config", cfg, "--axis", "n", "--values", values,
+                         "--output", str(out)]) == 2
+            assert not out.exists()

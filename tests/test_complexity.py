@@ -20,7 +20,7 @@ from metamargin.complexity import (
     rademacher_complexity_mc,
     vc_covering_number_bound,
 )
-from metamargin.core import EnvironmentSpec, Episode, sample_meta_sample
+from metamargin.core import EnvironmentSpec, EpisodeBatch, sample_meta_sample
 from metamargin.learners import make_feature_family, nearest_centroid_learn
 from metamargin.losses import margin_loss_array
 
@@ -61,7 +61,7 @@ class TestRestriction:
         return nearest_centroid_learn(ep, phi, 1.0)
 
     def test_single_episode_shape(self):
-        ep = Episode(xs=np.array([[0.0], [1.0], [2.0]]), ys=np.array([1, 2, 1]), k=2)
+        ep = EpisodeBatch(np.array([[[0.0], [1.0], [2.0]]]), np.array([[1, 2, 1]]), 2)
         fam = make_feature_family(1, 1, 1, "identity", 0)
         A = build_pi1f_restriction(ep, fam, self.learner, 2)
         assert A.values.shape == (2, 3)
@@ -74,7 +74,7 @@ class TestRestriction:
         assert A.values.shape == (2 * 3, 4 * 12)
 
     def test_constant_zero_scorers(self):
-        ep = Episode(xs=np.zeros((3, 2)), ys=np.array([1, 2, 1]), k=2)
+        ep = EpisodeBatch(np.zeros((1, 3, 2)), np.array([[1, 2, 1]]), 2)
         fam = make_feature_family(2, 2, 1, "identity", 0)
         A = build_pi1f_restriction(ep, fam, lambda batch, p: ConstantScorer(2, 0.0, b=1.0, episodes=batch.n), 2)
         assert np.all(A.values == 0.0)

@@ -11,7 +11,6 @@ from metamargin.core import (
     _seed_sequence_state,
     _stream_states,
     EnvironmentSpec,
-    Episode,
     EpisodeBatch,
     SeedPolicy,
     TaskSpec,
@@ -83,32 +82,31 @@ def test_seed_outside_64_bits_rejected(seed):
         sample_kway_sshot_episode(task, 5, 1, 1, seed)
 
 
+def one_episode(xs, ys, k, split=None):
+    """The episode (xs (m, d), ys (m,)) as a batch of one."""
+    return EpisodeBatch(np.asarray(xs)[None], np.asarray(ys)[None], k, split)
+
+
 class TestTypes:
     def test_labeled_example_validation(self):
         # a labeled example is an episode of one point
         with pytest.raises(ValueError):
-            Episode(xs=np.array([[np.inf, 0.0]]), ys=np.array([1]), k=2)
+            one_episode(np.array([[np.inf, 0.0]]), np.array([1]), 2)
         with pytest.raises(ValueError):
-            Episode(xs=np.zeros((1, 3)), ys=np.array([0]), k=2)
+            one_episode(np.zeros((1, 3)), np.array([0]), 2)
 
     def test_episode_label_range(self):
         with pytest.raises(ValueError):
-            Episode(xs=np.zeros((2, 3)), ys=np.array([1, 4]), k=3)
+            one_episode(np.zeros((2, 3)), np.array([1, 4]), 3)
 
     def test_episode_split_invariants(self):
         xs, ys = np.zeros((4, 2)), np.array([1, 2, 1, 2])
-        ep = Episode(xs=xs, ys=ys, k=2, split=1)
+        ep = one_episode(xs, ys, 2, split=1)
         assert ep.m == 4 and ep.split == 1
         with pytest.raises(ValueError):
-            Episode(xs=xs, ys=ys, k=2, split=2)  # k*s == m leaves no query
+            one_episode(xs, ys, 2, split=2)  # k*s == m leaves no query
         with pytest.raises(ValueError):
-            Episode(xs=np.zeros((5, 2)), ys=np.array([1, 2, 1, 2, 1]), k=2, split=1)
-
-    def test_meta_sample_homogeneity(self):
-        e1 = Episode(xs=np.zeros((3, 2)), ys=np.array([1, 2, 1]), k=2)
-        e2 = Episode(xs=np.zeros((4, 2)), ys=np.array([1, 2, 1, 2]), k=2)
-        with pytest.raises(ValueError):
-            EpisodeBatch.stack((e1, e2))
+            one_episode(np.zeros((5, 2)), np.array([1, 2, 1, 2, 1]), 2, split=1)
 
     def test_environment_json_field_names(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -167,7 +165,7 @@ class TestSampleEpisode:
         repeats = 100
         for i in range(repeats):
             ep = sample_episode(task, 100, 50 + i)
-            counts += np.bincount(ep.ys, minlength=6)[1:]
+            counts += np.bincount(ep.ys[0], minlength=6)[1:]
         mean_counts = counts / repeats
         tol = 4 * np.sqrt(100 * 0.2 * 0.8) / np.sqrt(repeats)
         assert np.all(np.abs(mean_counts - 20.0) < tol)
@@ -187,7 +185,7 @@ class TestKwayShotEpisode:
         # k=5, q=15 with s=5 gives the 100-point episode
         task = sample_task(ENV, 7)
         ep = sample_kway_sshot_episode(task, 5, 5, 15, 1)
-        assert ep.m == 100 and ep.split == 5
+        assert ep.xs.shape == (1, 100, 16) and ep.m == 100 and ep.split == 5
 
     def test_smallest_instance(self):
         env = EnvironmentSpec(d_raw=2, k=2, prototype_scale=1.0, noise_sigma=1.0)
@@ -198,9 +196,9 @@ class TestKwayShotEpisode:
         task = sample_task(ENV, 3)
         for seed in range(50):
             ep = sample_kway_sshot_episode(task, 5, 3, 4, seed)
-            counts = np.bincount(ep.ys, minlength=6)[1:]
+            counts = np.bincount(ep.ys[0], minlength=6)[1:]
             assert np.all(counts == 7)
-            sup_counts = np.bincount(ep.support()[1], minlength=6)[1:]
+            sup_counts = np.bincount(ep.support()[1][0], minlength=6)[1:]
             assert np.all(sup_counts == 3)
 
     def test_invalid_sq_rejected(self):
@@ -219,16 +217,15 @@ class TestMetaSample:
     def test_deterministic(self):
         a = sample_meta_sample(ENV, 5, 10, 4)
         b = sample_meta_sample(ENV, 5, 10, 4)
-        for ea, eb in zip(a, b):
-            assert np.array_equal(ea.xs, eb.xs) and np.array_equal(ea.ys, eb.ys)
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
     def test_structural_homogeneity(self):
         ms = sample_meta_sample(ENV, 50, 100, 8)
-        assert all(e.m == 100 and e.k == 5 for e in ms)
+        assert ms.xs.shape == (50, 100, ENV.d_raw) and ms.ys.shape == (50, 100) and ms.k == 5
 
     def test_shape_episodes(self):
         ms = sample_meta_sample(ENV, 3, 100, 8, shape=(5, 15))
-        assert all(e.split == 5 for e in ms)
+        assert ms.n == 3 and ms.split == 5
         with pytest.raises(ValueError):
             sample_meta_sample(ENV, 3, 99, 8, shape=(5, 15))
 

@@ -12,6 +12,7 @@ from metamargin.bounds import BoundInputs, gaussian_transfer_bound, covering_tra
 from metamargin.complexity import build_pi1f_restriction, entropy_integral, gaussian_complexity_mc
 from metamargin.core import (
     EnvironmentSpec,
+    EpisodeBatch,
     sample_episode,
     sample_episode_batches,
     sample_kway_sshot_episode,
@@ -37,7 +38,7 @@ from metamargin.harness import (
     write_sweep_rows,
 )
 from metamargin.learners import make_feature_family, meta_erm_select, nearest_centroid_learn
-from metamargin.losses import empirical_margin_loss, empirical_multi_margin_loss, margin_terms
+from metamargin.losses import episode_losses, margin_terms
 
 ENV = EnvironmentSpec(d_raw=8, k=3, prototype_scale=1.0, noise_sigma=1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -265,10 +266,11 @@ class TestPairedBoundInequalities:
             meta = sample_meta_sample(ENV, 4, 15, seed, shape=(2, 3))
             chosen = meta_erm_select(meta, fam, self.LEARNER, 1.0).chosen
             margin_avg = multi_avg = 0.0
-            for ep in meta:
-                scorer = self.LEARNER(ep, chosen)
-                margin_avg += empirical_margin_loss(scorer, ep, 1.0)
-                multi_avg += empirical_multi_margin_loss(scorer, ep, 1.0)
+            for l in range(meta.n):
+                ep = EpisodeBatch(meta.xs[l:l + 1], meta.ys[l:l + 1], meta.k, meta.split)
+                margin, multi = episode_losses(self.LEARNER(ep, chosen).scores_matrix(ep.xs), ep.ys, 1.0)
+                margin_avg += margin[0]
+                multi_avg += multi[0]
             margin_avg /= meta.n
             multi_avg /= meta.n
             assert (surrogate_multimargin_bound(inputs, multi_avg).total
@@ -338,5 +340,5 @@ def test_make_base_learner_kinds():
     for kind in ("nearest_centroid", "linear_multimargin", "linear_softmax"):
         learner = make_base_learner(LearnerSpec(kind=kind, steps=3), 1.0, 1.0)
         task = sample_task(ENV, 0)
-        scorer = learner(sample_episode(task, 12, 0), make_feature_family(8, 8, 1, "identity", 0).maps[0])
+        scorer = learner(sample_episode(task, 12, 0), make_feature_family(8, 8, 1, "identity", 0).maps[0])[0]
         assert np.abs(scorer.scores(np.zeros(8))).max() <= 1.0

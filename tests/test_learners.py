@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metamargin.core import EnvironmentSpec, Episode, sample_meta_sample
+from metamargin.core import EnvironmentSpec, EpisodeBatch, sample_meta_sample
 from metamargin.learners import (
     FeatureFamily,
     NumericError,
@@ -10,8 +10,9 @@ from metamargin.learners import (
     make_feature_family,
     meta_erm_select,
     nearest_centroid_learn,
+    require_fitted,
 )
-from metamargin.losses import empirical_multi_margin_loss
+from metamargin.losses import episode_losses
 
 
 def two_cluster_episode(seed=0, gap=4.0, m_per=20, d=2, spread=0.3):
@@ -21,7 +22,7 @@ def two_cluster_episode(seed=0, gap=4.0, m_per=20, d=2, spread=0.3):
         rng.normal(gap / 2, spread, (m_per, d)),
     ])
     ys = np.array([1] * m_per + [2] * m_per)
-    return Episode(xs=xs, ys=ys, k=2)
+    return EpisodeBatch(xs[None], ys[None], 2)
 
 
 class TestFeatureFamily:
@@ -63,25 +64,25 @@ class TestFeatureFamily:
 class TestNearestCentroid:
     def test_query_at_centroid_wins(self):
         xs = np.array([[0.0, 0.0], [10.0, 10.0]])
-        ep = Episode(xs=xs, ys=np.array([1, 2]), k=2)
+        ep = EpisodeBatch(xs[None], np.array([[1, 2]]), 2)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
-        scorer = nearest_centroid_learn(ep, phi, 1.0)
+        scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
         assert scorer.scores(np.array([0.0, 0.0])).argmax() == 0
         assert scorer.scores(np.array([10.0, 10.0])).argmax() == 1
 
     def test_identical_centroids_tie(self):
         xs = np.array([[1.0, 1.0], [1.0, 1.0]])
-        ep = Episode(xs=xs, ys=np.array([1, 2]), k=2)
+        ep = EpisodeBatch(xs[None], np.array([[1, 2]]), 2)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
-        scorer = nearest_centroid_learn(ep, phi, 1.0)
+        scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
         s = scorer.scores(np.array([3.0, -1.0]))
         assert s[0] == s[1]
 
     def test_hand_1d_example(self):
         # support (-1, class 1), (+1, class 2); query -0.9 is nearer class 1
-        ep = Episode(xs=np.array([[-1.0], [1.0]]), ys=np.array([1, 2]), k=2)
+        ep = EpisodeBatch(np.array([[[-1.0], [1.0]]]), np.array([[1, 2]]), 2)
         phi = make_feature_family(1, 1, 1, "identity", 0).maps[0]
-        scorer = nearest_centroid_learn(ep, phi, 1.0)
+        scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
         s = scorer.scores(np.array([-0.9]))
         assert s.argmax() == 0
         # s_norm is the lone pairwise distance 2: scores are -0.05 and -0.95
@@ -89,16 +90,16 @@ class TestNearestCentroid:
         assert s[1] == pytest.approx(-0.95)
 
     def test_missing_class_rejected(self):
-        ep = Episode(xs=np.zeros((2, 2)), ys=np.array([1, 1]), k=2)
+        ep = EpisodeBatch(np.zeros((1, 2, 2)), np.array([[1, 1]]), 2)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
         with pytest.raises(ValueError):
-            nearest_centroid_learn(ep, phi, 1.0)
+            require_fitted(nearest_centroid_learn(ep, phi, 1.0))
 
     def test_trains_on_support_only(self):
         xs = np.array([[-1.0], [1.0], [5.0], [-5.0]])
-        ep = Episode(xs=xs, ys=np.array([1, 2, 1, 2]), k=2, split=1)
+        ep = EpisodeBatch(xs[None], np.array([[1, 2, 1, 2]]), 2, split=1)
         phi = make_feature_family(1, 1, 1, "identity", 0).maps[0]
-        scorer = nearest_centroid_learn(ep, phi, 1.0)
+        scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
         assert np.array_equal(scorer.centroids, np.array([[-1.0], [1.0]]))
 
     def test_label_permutation_equivariance(self):
@@ -109,8 +110,8 @@ class TestNearestCentroid:
         phi = make_feature_family(4, 4, 1, "identity", 0).maps[0]
         perm = np.array([3, 1, 2])  # y -> perm[y-1]
         # b high enough that no query saturates the clamp
-        scorer = nearest_centroid_learn(Episode(xs=xs, ys=ys, k=3), phi, 5.0)
-        permuted = nearest_centroid_learn(Episode(xs=xs, ys=perm[ys - 1], k=3), phi, 5.0)
+        scorer = nearest_centroid_learn(EpisodeBatch(xs[None], ys[None], 3), phi, 5.0)[0]
+        permuted = nearest_centroid_learn(EpisodeBatch(xs[None], perm[ys - 1][None], 3), phi, 5.0)[0]
         queries = rng.normal(size=(20, 4))
         s0 = scorer.scores_matrix(queries)
         s1 = permuted.scores_matrix(queries)
@@ -122,7 +123,7 @@ class TestNearestCentroid:
         ep = two_cluster_episode(gap=50.0)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
         b = 0.7
-        scorer = nearest_centroid_learn(ep, phi, b)
+        scorer = nearest_centroid_learn(ep, phi, b)[0]
         scores = scorer.scores_matrix(rng.normal(0, 100, size=(10_000, 2)))
         assert np.all(np.abs(scores) <= b)
 
@@ -135,28 +136,29 @@ class TestLinearMultimargin:
             linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 0.0, 0, 0.1, 1.0)
 
     def test_zero_step_size_keeps_zero_weights(self):
-        scorer = linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 0.0, 1, 0.0, 1.0)
+        ep = two_cluster_episode()
+        scorer = linear_multimargin_learn(ep, self.PHI2, 1.0, 0.0, 1, 0.0, 1.0)
         assert np.all(scorer.W == 0.0)
-        assert empirical_multi_margin_loss(scorer, two_cluster_episode(), 1.0) == 1.0
+        assert episode_losses(scorer.scores_matrix(ep.xs), ep.ys, 1.0)[1][0] == 1.0
 
     def test_separable_reaches_low_loss(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
         ep = two_cluster_episode(gap=6.0)
         rho, lam = 1.0, 1e-4
         scorer = linear_multimargin_learn(ep, self.PHI2, rho, lam, 400, 0.2, 10.0)
-        psi = empirical_multi_margin_loss(scorer, ep, rho)
+        psi = episode_losses(scorer.scores_matrix(ep.xs), ep.ys, rho)[1][0]
         assert psi < 0.05
 
         # independent convex-solver oracle on the same objective
-        feats = self.PHI2.apply_matrix(ep.xs)
-        idx = np.arange(ep.m)
+        feats = self.PHI2.apply_matrix(ep.xs[0])
+        idx, col = np.arange(ep.m), ep.ys[0] - 1
 
         def objective(w_flat):
             W = w_flat.reshape(2, 2)
             scores = feats @ W.T
-            true = scores[idx, ep.ys - 1]
+            true = scores[idx, col]
             hinges = np.maximum(0.0, 1.0 - (true[:, None] - scores) / rho)
-            hinges[idx, ep.ys - 1] = 0.0
+            hinges[idx, col] = 0.0
             return hinges.sum() / ((2 - 1) * ep.m) + lam * (W ** 2).sum()
 
         res = scipy_opt.minimize(objective, np.zeros(4), method="Nelder-Mead",
@@ -166,14 +168,15 @@ class TestLinearMultimargin:
 
     def test_smoothed_loss_nonincreasing(self):
         ep = two_cluster_episode(gap=4.0)
-        scorer = linear_multimargin_learn(ep, self.PHI2, 1.0, 1e-4, 300, 0.2, 10.0)
+        scorer = linear_multimargin_learn(ep, self.PHI2, 1.0, 1e-4, 300, 0.2, 10.0)[0]
         h = np.asarray(scorer.loss_history)
         smoothed = np.convolve(h, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(smoothed) <= 1e-8)
 
     def test_numeric_blowup_raises(self):
+        scorer = linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 1e3, 200, 1e3, 1.0)
         with pytest.raises(NumericError):
-            linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 1e3, 200, 1e3, 1.0)
+            require_fitted(scorer)
 
     def test_deterministic(self):
         a = linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 1e-3, 50, 0.1, 1.0)
@@ -181,12 +184,13 @@ class TestLinearMultimargin:
         assert np.array_equal(a.W, b.W)
 
     def test_clamped_scores(self):
-        scorer = linear_multimargin_learn(two_cluster_episode(gap=40.0), self.PHI2, 1.0, 0.0, 200, 0.5, 0.3)
+        ep = two_cluster_episode(gap=40.0)
+        scorer = linear_multimargin_learn(ep, self.PHI2, 1.0, 0.0, 200, 0.5, 0.3)[0]
         scores = scorer.scores_matrix(np.random.default_rng(1).normal(0, 30, (1000, 2)))
         assert np.all(np.abs(scores) <= 0.3)
 
     def test_fit_records_map_and_history(self):
-        scorer = linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 1e-3, 5, 0.1, 1.0)
+        scorer = linear_multimargin_learn(two_cluster_episode(), self.PHI2, 1.0, 1e-3, 5, 0.1, 1.0)[0]
         assert scorer.phi.id == self.PHI2.id
         assert scorer.loss_history.shape == (5,)
         assert scorer.W.shape == (2, 2)
@@ -195,10 +199,10 @@ class TestLinearMultimargin:
 def test_linear_softmax_learn_improves():
     ep = two_cluster_episode(gap=6.0)
     phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
-    scorer = linear_softmax_learn(ep, phi, 1e-4, 200, 0.5, 10.0)
+    scorer = linear_softmax_learn(ep, phi, 1e-4, 200, 0.5, 10.0)[0]
     assert scorer.loss_history[-1] < scorer.loss_history[0]
-    preds = scorer.scores_matrix(ep.xs).argmax(axis=1) + 1
-    assert (preds == ep.ys).mean() == 1.0
+    preds = scorer.scores_matrix(ep.xs[0]).argmax(axis=1) + 1
+    assert (preds == ep.ys[0]).mean() == 1.0
 
 
 class TestMetaErmSelect:

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer, TableScorer
-from metamargin.core import Episode, EpisodeBatch
+from metamargin.core import EpisodeBatch
 from metamargin.learners import FeatureFamily, FeatureMap, meta_erm_select
 from metamargin.losses import (
-    empirical_margin_loss,
-    empirical_multi_margin_loss,
     episode_losses,
     margin,
     margin_loss,
@@ -17,10 +15,17 @@ from metamargin.losses import (
 
 
 def index_episode(ys, k):
-    """Episode whose points are table indices 0..m-1."""
+    """One episode whose points are table indices 0..m-1."""
     m = len(ys)
-    xs = np.arange(m, dtype=np.float64).reshape(m, 1)
-    return Episode(xs=xs, ys=np.asarray(ys), k=k)
+    xs = np.arange(m, dtype=np.float64).reshape(1, m, 1)
+    return EpisodeBatch(xs, np.asarray(ys)[None], k)
+
+
+def empirical_losses(f, ep, rho):
+    """(mean ramp loss, mean multi-margin loss) of f over the points of
+    the one episode of ``ep``."""
+    ramp, multi = episode_losses(f.scores_matrix(ep.xs[0]), ep.ys[0], rho)
+    return float(ramp), float(multi)
 
 
 class TestMargin:
@@ -97,17 +102,17 @@ class TestEmpiricalMarginLoss:
     def test_all_margins_large(self):
         f = TableScorer([[5.0, 0.0], [4.0, 0.0]], b=5.0)
         ep = index_episode([1, 1], 2)
-        assert empirical_margin_loss(f, ep, 1.0) == 0.0
+        assert empirical_losses(f, ep, 1.0)[0] == 0.0
 
     def test_constant_scorer(self):
         ep = index_episode([1, 2, 1], 2)
-        assert empirical_margin_loss(ConstantScorer(2), ep, 1.0) == 1.0
+        assert empirical_losses(ConstantScorer(2), ep, 1.0)[0] == 1.0
 
     def test_mixed_episode(self):
         # margins rho/2 and rho -> losses 0.5 and 0 -> mean 0.25
         f = TableScorer([[0.5, 0.0], [1.0, 0.0]])
         ep = index_episode([1, 1], 2)
-        assert empirical_margin_loss(f, ep, 1.0) == pytest.approx(0.25)
+        assert empirical_losses(f, ep, 1.0)[0] == pytest.approx(0.25)
 
 
 class TestMultiMarginLoss:
@@ -141,15 +146,15 @@ class TestMultiMarginLoss:
 class TestEmpiricalMultiMarginLoss:
     def test_all_correct_large_gap(self):
         f = TableScorer([[5.0, 0.0], [5.0, 0.0]], b=5.0)
-        assert empirical_multi_margin_loss(f, index_episode([1, 1], 2), 1.0) == 0.0
+        assert empirical_losses(f, index_episode([1, 1], 2), 1.0)[1] == 0.0
 
     def test_constant_scorer(self):
-        assert empirical_multi_margin_loss(ConstantScorer(2), index_episode([1, 2], 2), 1.0) == 1.0
+        assert empirical_losses(ConstantScorer(2), index_episode([1, 2], 2), 1.0)[1] == 1.0
 
     def test_two_example_mean(self):
         # point 0 has gap 2 (loss 0), point 1 has gap 0 (loss 1) -> 0.5
         f = TableScorer([[2.0, 0.0], [0.0, 0.0]])
-        assert empirical_multi_margin_loss(f, index_episode([1, 1], 2), 1.0) == pytest.approx(0.5)
+        assert empirical_losses(f, index_episode([1, 1], 2), 1.0)[1] == pytest.approx(0.5)
 
 
 class TestSurrogateInequality:
@@ -172,14 +177,14 @@ class TestAverageEmpiricalLoss:
 
     @staticmethod
     def _average(scorers, episodes, rho=1.0):
-        batch = EpisodeBatch.stack(episodes)
-        scores = np.stack([f.scores_matrix(ep.xs) for f, ep in zip(scorers, episodes)])
-        return float(episode_losses(scores, batch.ys, rho)[0].mean())
+        ys = np.concatenate([ep.ys for ep in episodes])
+        scores = np.stack([f.scores_matrix(ep.xs[0]) for f, ep in zip(scorers, episodes)])
+        return float(episode_losses(scores, ys, rho)[0].mean())
 
     def test_single_episode(self):
         ep = index_episode([1, 2], 2)
         f = ConstantScorer(2)
-        assert self._average([f], [ep]) == empirical_margin_loss(f, ep, 1.0)
+        assert self._average([f], [ep]) == empirical_losses(f, ep, 1.0)[0]
 
     def test_repeated_episodes(self):
         ep = index_episode([1, 2], 2)
@@ -194,7 +199,7 @@ class TestAverageEmpiricalLoss:
         assert self._average([perfect, half, zero], [ep] * 3) == pytest.approx(0.5)
 
     def test_bad_loss_kind(self):
-        meta = EpisodeBatch.stack([index_episode([1], 2)])
+        meta = index_episode([1], 2)
         family = FeatureFamily((FeatureMap(id="identity", kind="identity", d=1),))
         with pytest.raises(ValueError):
             meta_erm_select(meta, family, lambda batch, phi: ConstantScorer(2, episodes=batch.n),
