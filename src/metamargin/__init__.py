@@ -10,14 +10,12 @@ from .bounds import (
     covering_transfer_bound,
     gaussian_transfer_bound,
     kway_sshot_complexity_term,
-    linear_scorer_vc_dimension,
     sample_efficiency_min_m,
     surrogate_multimargin_bound,
     vc_transfer_bound,
 )
 from .complexity import (
     ComplexityEstimate,
-    CoveringNumberBound,
     FunctionValueMatrix,
     build_pi1f_restriction,
     dudley_bound,
@@ -27,7 +25,6 @@ from .complexity import (
     greedy_epsilon_cover,
     massart_bound,
     rademacher_complexity_mc,
-    vc_covering_number_bound,
 )
 from .core import (
     EnvironmentSpec,

@@ -41,7 +41,7 @@ class BoundInputs:
     """Parameters shared by the bound evaluators.
 
     v is the VC-dimension of the scalar projection class; for a linear
-    scorer on d-dimensional features the classical default is d + 1.
+    scorer on d-dimensional features the classical choice is d + 1.
     C0 is the uniform constant of the VC covering bound and must be
     >= 1 so that sqrt(ln C0) is real; the default is e.
     """
@@ -94,15 +94,6 @@ def _report(kind: str, empirical: float, confidence: float, complexity: float) -
         kind=kind,
         vacuous=total >= 1.0,
     )
-
-
-def linear_scorer_vc_dimension(d: int) -> int:
-    """Classical default for a linear scorer on d-dimensional features:
-    the subgraph class of affine functions has VC-dimension d + 1.
-    Supply your own v to override."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return d + 1
 
 
 def constants_c1_c2(b: float, c0: float = DEFAULT_C0) -> tuple[float, float]:
@@ -204,21 +195,13 @@ def kway_sshot_complexity_term(
     k: int, s: int, q: int, n: int, rho: float, v: int, b: float, c0: float = DEFAULT_C0
 ) -> float:
     """Complexity term specialized to m = k (s + q):
-    (sqrt(k)/(rho sqrt(s+q)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    (sqrt(k)/(rho sqrt(s+q)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2),
+    the VC bound's complexity term at that m."""
     if s < 1 or q < 1:
         raise ValueError("s and q must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_finite(rho=rho)
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    c1, c2 = constants_c1_c2(b, c0)
-    rate = math.sqrt(k) / (rho * math.sqrt(s + q)) + k / (rho * math.sqrt(n))
-    return rate * (c1 * math.sqrt(v) + c2)
+    # delta enters only the confidence term, so any value in (0, 1) will do
+    inputs = BoundInputs(k=k, rho=rho, delta=0.5, m=k * (s + q), n=n, v=v, b=b, c0=c0)
+    return vc_transfer_bound(inputs, 0.0).complexity_term
 
 
 def sample_efficiency_min_m(epsilon: float, k: int, v: int, n: float, a: float) -> int:

@@ -5,8 +5,8 @@ per scalar function (a trained scorer projected onto one class label),
 one column per sample point. On top of that matrix this module
 provides Monte Carlo Gaussian and Rademacher complexity, the Massart
 finite-class bound, greedy epsilon-covers under the data-dependent L2
-metric d(f, g) = sqrt(mean_j (f_j - g_j)^2), the finite chaining
-(Dudley) bound, and the VC covering-number bound.
+metric d(f, g) = sqrt(mean_j (f_j - g_j)^2), and the finite chaining
+(Dudley) bound.
 
 All logarithms are natural.
 """
@@ -65,26 +65,19 @@ class FunctionValueMatrix:
     def n_points(self) -> int:
         return self.values.shape[1]
 
-    def to_csv(self, path_or_buf) -> None:
+    def to_csv(self, path: str) -> None:
         """Write as CSV: a ``# b=<float>`` header line, then one row per
         function with its label in the first column."""
-        own = isinstance(path_or_buf, (str, bytes))
-        handle = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with open(path, "w", newline="") as handle:
             handle.write(f"# b={self.b!r}\n")
             writer = csv.writer(handle)
             labels = self.labels or tuple(f"f{i}" for i in range(self.n_functions))
             for label, row in zip(labels, self.values):
                 writer.writerow([label] + [repr(float(v)) for v in row])
-        finally:
-            if own:
-                handle.close()
 
     @classmethod
-    def from_csv(cls, path_or_buf) -> "FunctionValueMatrix":
-        own = isinstance(path_or_buf, (str, bytes))
-        handle = open(path_or_buf, "r", newline="") if own else path_or_buf
-        try:
+    def from_csv(cls, path: str) -> "FunctionValueMatrix":
+        with open(path, "r", newline="") as handle:
             header = handle.readline().strip()
             if not header.startswith("# b="):
                 raise ValueError("matrix CSV must start with a '# b=<value>' line")
@@ -95,12 +88,9 @@ class FunctionValueMatrix:
                     continue
                 labels.append(record[0])
                 rows.append([float(v) for v in record[1:]])
-            if not rows:
-                raise ValueError("matrix CSV contains no rows")
-            return cls(values=np.array(rows), b=b, labels=tuple(labels))
-        finally:
-            if own:
-                handle.close()
+        if not rows:
+            raise ValueError("matrix CSV contains no rows")
+        return cls(values=np.array(rows), b=b, labels=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -281,38 +271,3 @@ def dudley_bound(A: FunctionValueMatrix, levels: int) -> float:
     """Chaining upper bound on the Gaussian complexity of the rows:
     (24 / sqrt(M)) times the finite entropy chaining sum."""
     return 24.0 / math.sqrt(A.n_points) * entropy_integral(A, levels)
-
-
-@dataclass(frozen=True)
-class CoveringNumberBound:
-    """VC covering-number bound kept in log space to avoid overflow."""
-
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-
-def vc_covering_number_bound(tau: float, v: int, b: float, p: float, c0: float) -> CoveringNumberBound:
-    """Covering bound N(tau) <= C0 (v+1) (16e)^(v+1) (b/tau)^(p v)."""
-    if not all(map(math.isfinite, (tau, b, p, c0))):
-        raise ValueError("tau, b, p and C0 must be finite")
-    if not 0 < tau <= b:
-        raise ValueError(f"tau must lie in (0, b={b}], got {tau}")
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if c0 <= 0:
-        raise ValueError("C0 must be > 0")
-    log_value = (
-        math.log(c0)
-        + math.log(v + 1)
-        + (v + 1) * math.log(16.0 * math.e)
-        + p * v * math.log(b / tau)
-    )
-    return CoveringNumberBound(log_value=log_value)

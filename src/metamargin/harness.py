@@ -32,6 +32,7 @@ from .bounds import (
     vc_transfer_bound,
 )
 from .complexity import (
+    FunctionValueMatrix,
     build_pi1f_restriction,
     entropy_integral,
     episode_restrictions,
@@ -329,40 +330,36 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
     single-task draws are fitted as one batch.
     """
     env, bound = config.environment, config.bound
+
+    def complexities(A: FunctionValueMatrix, mc_seed: int) -> tuple[float, float]:
+        """max(0, Gaussian complexity) and entropy integral of one restriction."""
+        return (max(0.0, gaussian_complexity_mc(A, config.mc_draws, mc_seed).mean),
+                entropy_integral(A, config.dudley_levels))
+
     policy = SeedPolicy(seed)
     task_root = SeedPolicy(policy.child(0))
     tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, task_root.master_seed,
                                config.episode_shape)
-    gamma_task = entropy_task = 0.0
-    task_ok = 0
-    for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k)):
-        if A is None:
-            continue
-        unit = SeedPolicy(task_root.child(j))
-        gamma_task += max(0.0, gaussian_complexity_mc(A, config.mc_draws, unit.child(2)).mean)
-        entropy_task += entropy_integral(A, config.dudley_levels)
-        task_ok += 1
+    task = [complexities(A, SeedPolicy(task_root.child(j)).child(2))
+            for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k))
+            if A is not None]
     meta_root = SeedPolicy(policy.child(1))
-    gamma_meta = entropy_meta = 0.0
-    meta_ok = 0
+    meta = []
     for j in range(config.outer_meta_draws):
         unit = SeedPolicy(meta_root.child(j))
         try:
-            meta = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
-            A = build_pi1f_restriction(meta, family, base_learner, bound.k)
+            batch = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
+            A = build_pi1f_restriction(batch, family, base_learner, bound.k)
         except (ValueError, NumericError):
             continue
-        gamma_meta += max(0.0, gaussian_complexity_mc(A, config.mc_draws, unit.child(1)).mean)
-        entropy_meta += entropy_integral(A, config.dudley_levels)
-        meta_ok += 1
-    if task_ok == 0 or meta_ok == 0:
+        meta.append(complexities(A, unit.child(1)))
+    if not task or not meta:
         raise NumericError("every outer draw failed while estimating expected complexities")
-    return ExpectedComplexities(
-        gamma_meta=gamma_meta / meta_ok,
-        gamma_task=gamma_task / task_ok,
-        entropy_meta=entropy_meta / meta_ok,
-        entropy_task=entropy_task / task_ok,
-    )
+    # per level: the mean of each column, summed in draw order
+    (gamma_task, entropy_task), (gamma_meta, entropy_meta) = (
+        [sum(column) / len(draws) for column in zip(*draws)] for draws in (task, meta))
+    return ExpectedComplexities(gamma_meta=gamma_meta, gamma_task=gamma_task,
+                                entropy_meta=entropy_meta, entropy_task=entropy_task)
 
 
 @dataclass(frozen=True)
@@ -418,10 +415,12 @@ def _run_trial(trial: int, config: ExperimentConfig, family: FeatureFamily,
         unit.child(1), config.episode_shape,
     )
 
-    rep_vc = vc_transfer_bound(bound, avg_margin)
-    rep_g = gaussian_transfer_bound(bound, avg_margin, expected.gamma_meta, expected.gamma_task)
-    rep_c = covering_transfer_bound(bound, avg_margin, expected.entropy_meta, expected.entropy_task)
-    rep_s = surrogate_multimargin_bound(bound, avg_multi)
+    reports = {report.kind: report for report in (
+        vc_transfer_bound(bound, avg_margin),
+        gaussian_transfer_bound(bound, avg_margin, expected.gamma_meta, expected.gamma_task),
+        covering_transfer_bound(bound, avg_margin, expected.entropy_meta, expected.entropy_task),
+        surrogate_multimargin_bound(bound, avg_multi),
+    )}
 
     if config.episode_shape is not None:
         accuracy, _ = query_split_accuracy(
@@ -435,16 +434,11 @@ def _run_trial(trial: int, config: ExperimentConfig, family: FeatureFamily,
         avg_empirical_loss=avg_margin,
         transfer_risk=risk.risk,
         transfer_risk_se=risk.std_error,
-        bound_vc=rep_vc.total,
-        bound_gaussian=rep_g.total,
-        bound_covering=rep_c.total,
-        bound_surrogate=rep_s.total,
-        holds_vc=bound_holds(risk.risk, risk.std_error, rep_vc.total),
-        holds_gaussian=bound_holds(risk.risk, risk.std_error, rep_g.total),
-        holds_covering=bound_holds(risk.risk, risk.std_error, rep_c.total),
-        holds_surrogate=bound_holds(risk.risk, risk.std_error, rep_s.total),
+        **{f"bound_{kind}": report.total for kind, report in reports.items()},
+        **{f"holds_{kind}": bound_holds(risk.risk, risk.std_error, report.total)
+           for kind, report in reports.items()},
         test_accuracy=accuracy,
-        vacuous_vc=rep_vc.vacuous,
+        vacuous_vc=reports["vc"].vacuous,
         elapsed_ms=elapsed_ms,
     )
 

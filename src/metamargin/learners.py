@@ -12,6 +12,7 @@ objective for loss-swap experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,8 +47,8 @@ class FeatureMap:
     def __post_init__(self) -> None:
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"kind must be one of {FEATURE_KINDS}, got {self.kind!r}")
-        if self.norm_cap <= 0:
-            raise ValueError("norm_cap must be > 0")
+        if not (math.isfinite(self.norm_cap) and self.norm_cap > 0):
+            raise ValueError(f"norm_cap must be finite and > 0, got {self.norm_cap}")
         if self.kind == "identity":
             if self.weight is not None:
                 raise ValueError("identity map takes no weight")
@@ -140,6 +141,15 @@ def _features(phi: FeatureMap, xs: np.ndarray) -> np.ndarray:
 def _onehot(ys: np.ndarray, k: int) -> np.ndarray:
     """(..., m) labels in 1..k as (..., m, k) float indicators."""
     return (ys[..., None] == np.arange(1, k + 1)).astype(np.float64)
+
+
+def _check_linear(steps: int, lam: float, step_size: float, b: float) -> None:
+    """The hyperparameter checks both linear learners share."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not (b > 0 and 0 <= lam < math.inf and 0 <= step_size < math.inf):
+        raise ValueError(f"need b > 0 and finite lam, step_size >= 0; got b={b}, lam={lam}, "
+                         f"step_size={step_size}")
 
 
 def require_fitted(scorer: ScoringFunction) -> ScoringFunction:
@@ -255,10 +265,9 @@ def linear_multimargin_learn(
     whose objective or weights turn non-finite is flagged in
     ``failed``.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if rho <= 0 or lam < 0 or b <= 0:
-        raise ValueError("need rho > 0, lam >= 0, b > 0")
+    _check_linear(steps, lam, step_size, b)
+    if not rho > 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
     if batch.k < 2:
         raise ValueError("linear learner needs k >= 2")
     xs, ys = batch.support()
@@ -295,10 +304,7 @@ def linear_softmax_learn(
     """Cross-entropy comparator: gradient descent on softmax NLL + L2, on
     every episode of a batch at once. An episode whose objective turns
     non-finite is flagged in ``failed``."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if lam < 0 or b <= 0:
-        raise ValueError("need lam >= 0, b > 0")
+    _check_linear(steps, lam, step_size, b)
     xs, ys = batch.support()
     feats = _features(phi, xs)
     n, m, d = feats.shape

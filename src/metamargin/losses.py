@@ -16,8 +16,7 @@ LOSS_KINDS = ("margin", "multimargin")
 
 
 class ScoringFunction:
-    """Bounded class-score map. Subclasses implement ``scores`` or
-    ``scores_matrix``; each defaults to the other.
+    """Bounded class-score map. Subclasses implement ``scores_matrix``.
 
     ``b`` is the score bound: concrete scorers clamp their outputs so
     that |score(x, y)| <= b always holds. A scorer fitted on a batch of
@@ -28,13 +27,9 @@ class ScoringFunction:
 
     b: float
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Scores for all k classes at a single input, shape (k,)."""
-        return self.scores_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Scores for a batch of inputs, shape (m, k)."""
-        return np.stack([self.scores(x) for x in xs])
+        """Scores for inputs (..., m, d_raw), shape (..., m, k)."""
+        raise NotImplementedError
 
 
 def margin_terms(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -73,14 +68,14 @@ def episode_losses(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.n
 
 
 def _one_point(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> np.ndarray:
-    if k < 2:
-        raise ValueError("margin needs k >= 2 (max over competing classes is empty)")
+    """f's scores at the single input x, shape (1, k)."""
     if not 1 <= y <= k:
         raise ValueError(f"label {y} outside 1..{k}")
-    s = np.asarray(f.scores(x), dtype=np.float64)
-    if s.shape[0] != k:
-        raise ValueError(f"scorer returned {s.shape[0]} scores, expected {k}")
-    return s[None, :]
+    s = np.asarray(f.scores_matrix(np.asarray(x, dtype=np.float64)[None]), dtype=np.float64)
+    if s.shape != (1, k):
+        # e.g. a scorer fitted on more than one episode
+        raise ValueError(f"scorer returned scores of shape {s.shape}, expected (1, {k})")
+    return s
 
 
 def margin(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> float:
@@ -91,15 +86,14 @@ def margin(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> float:
 
 
 def margin_loss(rho: float, t: float) -> float:
-    """Ramp loss: 1 for t <= 0, 0 for t >= rho, linear in between."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    return float(min(1.0, max(0.0, 1.0 - t / rho)))
+    """Ramp loss: 1 for t <= 0, 0 for t >= rho, linear in between; NaN
+    at a NaN margin."""
+    return float(margin_loss_array(rho, t))
 
 
 def margin_loss_array(rho: float, t: np.ndarray) -> np.ndarray:
     """Vectorized ramp loss."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     return np.clip(1.0 - np.asarray(t, dtype=np.float64) / rho, 0.0, 1.0)
 

@@ -4,14 +4,15 @@ from metamargin.losses import ScoringFunction
 
 
 class TableScorer(ScoringFunction):
-    """Test scorer: x[0] indexes a fixed table of score vectors."""
+    """Test scorer: an input's first coordinate indexes a fixed table of
+    score vectors."""
 
     def __init__(self, table, b=None):
         self.table = np.asarray(table, dtype=np.float64)
         self.b = float(b) if b is not None else float(np.abs(self.table).max() or 1.0)
 
-    def scores(self, x):
-        return self.table[int(np.asarray(x).flat[0])]
+    def scores_matrix(self, xs):
+        return self.table[np.asarray(xs)[..., 0].astype(np.int64)]
 
 
 class ConstantScorer(ScoringFunction):
@@ -28,9 +29,6 @@ class ConstantScorer(ScoringFunction):
         sub = ConstantScorer(self.k, self.value, self.b)
         sub.failed = self.failed[index]
         return sub
-
-    def scores(self, x):
-        return np.full(self.k, self.value)
 
     def scores_matrix(self, xs):
         return np.full(np.shape(xs)[:-1] + (self.k,), self.value)

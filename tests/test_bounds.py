@@ -13,18 +13,12 @@ from metamargin.bounds import (
     covering_transfer_bound,
     gaussian_transfer_bound,
     kway_sshot_complexity_term,
-    linear_scorer_vc_dimension,
     sample_efficiency_min_m,
     surrogate_multimargin_bound,
     vc_transfer_bound,
 )
 from metamargin.harness import ExperimentConfig
 
-
-def test_linear_scorer_vc_dimension_default():
-    assert linear_scorer_vc_dimension(16) == 17
-    with pytest.raises(ValueError):
-        linear_scorer_vc_dimension(0)
 
 INPUTS = BoundInputs(k=5, rho=1.0, delta=0.1, m=100, n=50, v=17, b=1.0)
 

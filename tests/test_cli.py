@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,20 @@ class TestSimulateCommand:
         path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "trials"}))
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "x.csv")]) == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("learner", "lam", math.nan), ("learner", "lam", math.inf), ("learner", "lam", -1.0),
+        ("learner", "step_size", math.nan), ("learner", "step_size", -1.0),
+        ("family", "norm_cap", math.nan), ("family", "norm_cap", math.inf),
+    ])
+    def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, section, field, value):
+        # bad input, not a numeric failure of the run: exit 2, before any CSV
+        data = {"learner": {"kind": "linear_multimargin", "steps": 3}, "family": dict(CONFIG["family"])}
+        data[section][field] = value
+        cfg = write_config(tmp_path, **data)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+        assert field in capsys.readouterr().err and not out.exists()
 
     def test_every_trial_failing_exits_3(self, tmp_path, capsys):
         # configs/default.json at k=3 with unsplit 4-point episodes and

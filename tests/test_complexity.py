@@ -18,7 +18,6 @@ from metamargin.complexity import (
     greedy_epsilon_cover,
     massart_bound,
     rademacher_complexity_mc,
-    vc_covering_number_bound,
 )
 from metamargin.core import EnvironmentSpec, EpisodeBatch, sample_meta_sample
 from metamargin.learners import make_feature_family, nearest_centroid_learn
@@ -313,33 +312,3 @@ def test_sign_times_gaussian_is_gaussian():
     gamma = rng.standard_normal(100_000)
     result = stats.kstest(sigma * gamma, "norm")
     assert result.pvalue >= 0.001
-
-
-class TestVcCoveringBound:
-    def test_tau_equals_b(self):
-        out = vc_covering_number_bound(1.0, 3, 1.0, 2, 2.0)
-        expected = math.log(2.0) + math.log(4) + 4 * math.log(16 * math.e)
-        assert out.log_value == pytest.approx(expected, abs=1e-12)
-
-    def test_arithmetic_oracle(self):
-        # v=1, p=2, b=1, C0=e, tau=0.5: 1 + ln 2 + 2 ln(16e) + 2 ln 2
-        out = vc_covering_number_bound(0.5, 1, 1.0, 2, math.e)
-        expected = 1.0 + math.log(2.0) + 2.0 * math.log(16.0 * math.e) + 2.0 * math.log(2.0)
-        assert out.log_value == pytest.approx(expected, abs=1e-12)
-
-    def test_log_decreasing_in_tau(self):
-        taus = np.linspace(0.05, 1.0, 30)
-        logs = [vc_covering_number_bound(float(t), 4, 1.0, 2, math.e).log_value for t in taus]
-        assert all(a > b for a, b in zip(logs, logs[1:]))
-
-    def test_value_exponentiates(self):
-        out = vc_covering_number_bound(0.5, 1, 1.0, 1, 1.0)
-        assert out.value == pytest.approx(math.exp(out.log_value))
-        big = vc_covering_number_bound(1e-300, 50, 1.0, 2, 1.0)
-        assert big.value == math.inf
-
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            vc_covering_number_bound(0.0, 1, 1.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            vc_covering_number_bound(1.5, 1, 1.0, 2, 1.0)

@@ -341,4 +341,4 @@ def test_make_base_learner_kinds():
         learner = make_base_learner(LearnerSpec(kind=kind, steps=3), 1.0, 1.0)
         task = sample_task(ENV, 0)
         scorer = learner(sample_episode(task, 12, 0), make_feature_family(8, 8, 1, "identity", 0).maps[0])[0]
-        assert np.abs(scorer.scores(np.zeros(8))).max() <= 1.0
+        assert np.abs(scorer.scores_matrix(np.zeros((1, 8)))).max() <= 1.0

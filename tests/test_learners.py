@@ -67,15 +67,15 @@ class TestNearestCentroid:
         ep = EpisodeBatch(xs[None], np.array([[1, 2]]), 2)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
         scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
-        assert scorer.scores(np.array([0.0, 0.0])).argmax() == 0
-        assert scorer.scores(np.array([10.0, 10.0])).argmax() == 1
+        assert scorer.scores_matrix(np.array([[0.0, 0.0]]))[0].argmax() == 0
+        assert scorer.scores_matrix(np.array([[10.0, 10.0]]))[0].argmax() == 1
 
     def test_identical_centroids_tie(self):
         xs = np.array([[1.0, 1.0], [1.0, 1.0]])
         ep = EpisodeBatch(xs[None], np.array([[1, 2]]), 2)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
         scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
-        s = scorer.scores(np.array([3.0, -1.0]))
+        s = scorer.scores_matrix(np.array([[3.0, -1.0]]))[0]
         assert s[0] == s[1]
 
     def test_hand_1d_example(self):
@@ -83,7 +83,7 @@ class TestNearestCentroid:
         ep = EpisodeBatch(np.array([[[-1.0], [1.0]]]), np.array([[1, 2]]), 2)
         phi = make_feature_family(1, 1, 1, "identity", 0).maps[0]
         scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
-        s = scorer.scores(np.array([-0.9]))
+        s = scorer.scores_matrix(np.array([[-0.9]]))[0]
         assert s.argmax() == 0
         # s_norm is the lone pairwise distance 2: scores are -0.05 and -0.95
         assert s[0] == pytest.approx(-0.05)

@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer, TableScorer
 from metamargin.core import EpisodeBatch
-from metamargin.learners import FeatureFamily, FeatureMap, meta_erm_select
+from metamargin.learners import (
+    FeatureFamily,
+    FeatureMap,
+    linear_multimargin_learn,
+    meta_erm_select,
+    nearest_centroid_learn,
+)
 from metamargin.losses import (
     episode_losses,
     margin,
@@ -57,6 +65,32 @@ class TestMargin:
             assert -2 * b <= val <= 2 * b
 
 
+IDENTITY_1D = FeatureMap(id="identity", kind="identity", d=1)
+ONE_POINT_LEARNERS = {
+    "centroid": lambda batch: nearest_centroid_learn(batch, IDENTITY_1D, 1.0),
+    "linear": lambda batch: linear_multimargin_learn(batch, IDENTITY_1D, 1.0, 1e-3, 5, 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_POINT_LEARNERS))
+def test_one_point_losses_reject_a_batch_scorer(kind):
+    # A scorer fitted on two episodes has no single score row: margin and
+    # multi_margin_loss must not read episode 0's scores off it.
+    batch = EpisodeBatch(np.array([[[-1.0], [1.0]], [[-2.0], [2.0]]]), np.array([[1, 2], [1, 2]]), 2)
+    scorer = ONE_POINT_LEARNERS[kind](batch)
+    assert not scorer.failed.any()
+    x = np.array([-0.5])
+    with pytest.raises(ValueError):
+        margin(scorer, x, 1, 2)
+    with pytest.raises(ValueError):
+        multi_margin_loss(scorer, x, 1, 1.0, 2)
+    for episode in (0, 1):
+        one = scorer[episode]
+        expected = one.scores_matrix(x[None])[0]
+        assert margin(one, x, 1, 2) == expected[0] - expected[1] > 0
+        assert multi_margin_loss(one, x, 1, 1.0, 2) == max(0.0, 1.0 - (expected[0] - expected[1]))
+
+
 class TestMarginLoss:
     def test_beyond_rho(self):
         assert margin_loss(1.0, 2.0) == 0.0
@@ -68,8 +102,16 @@ class TestMarginLoss:
         assert margin_loss(1.0, 0.5) == 0.5
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            margin_loss(0.0, 1.0)
+        for rho in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                margin_loss(rho, 1.0)
+            with pytest.raises(ValueError):
+                margin_loss_array(rho, np.array([1.0]))
+
+    def test_nan_margin_is_nan(self):
+        # a NaN margin is not a fully right point (loss 0)
+        assert math.isnan(margin_loss(1.0, math.nan))
+        assert np.isnan(margin_loss_array(1.0, np.array([0.5, math.nan]))[1])
 
     @given(st.floats(-50, 50), st.floats(-50, 50),
            st.floats(0.01, 100))

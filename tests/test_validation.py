@@ -18,12 +18,46 @@ from metamargin.bounds import (
 )
 from metamargin.cli import main
 from metamargin.complexity import FunctionValueMatrix
-from metamargin.core import EnvironmentSpec
+from metamargin.core import EnvironmentSpec, EpisodeBatch
 from metamargin.harness import ExperimentConfig
+from metamargin.learners import FeatureMap, linear_multimargin_learn, linear_softmax_learn
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 BOUND = dict(k=5, rho=1.0, delta=0.1, m=100, n=50, v=17, b=1.0, c0=math.e)
 INPUTS = BoundInputs(**BOUND)
+
+
+IDENTITY_2D = FeatureMap(id="identity", kind="identity", d=2)
+LINEAR_LEARNERS = {
+    "multimargin": lambda batch, lam, step_size: linear_multimargin_learn(
+        batch, IDENTITY_2D, 1.0, lam, 3, step_size, 1.0),
+    "softmax": lambda batch, lam, step_size: linear_softmax_learn(
+        batch, IDENTITY_2D, lam, 3, step_size, 1.0),
+}
+TINY_BATCH = EpisodeBatch(np.array([[[-1.0, 0.0], [1.0, 0.0], [-2.0, 1.0], [2.0, 1.0]]]),
+                          np.array([[1, 2, 1, 2]]), 2)
+
+
+@given(st.sampled_from(sorted(LINEAR_LEARNERS)), st.sampled_from(["lam", "step_size"]),
+       st.one_of(NON_FINITE, st.floats(max_value=-1e-300, allow_infinity=False)))
+def test_linear_learners_reject_bad_hyperparameters(kind, field, bad):
+    # a negative step size would climb the loss instead of descending it
+    params = {"lam": 1e-3, "step_size": 0.1, field: bad}
+    with pytest.raises(ValueError, match=field):
+        LINEAR_LEARNERS[kind](TINY_BATCH, **params)
+
+
+@pytest.mark.parametrize("kind", sorted(LINEAR_LEARNERS))
+def test_linear_learners_accept_zero_lam_and_step_size(kind):
+    scorer = LINEAR_LEARNERS[kind](TINY_BATCH, lam=0.0, step_size=0.0)
+    assert not scorer.failed.any() and np.all(scorer.W == 0.0)
+
+
+@given(NON_FINITE)
+def test_feature_map_rejects_non_finite_norm_cap(bad):
+    # a NaN cap would never cap anything
+    with pytest.raises(ValueError, match="norm_cap"):
+        FeatureMap(id="identity", kind="identity", d=2, norm_cap=bad)
 
 
 @given(st.sampled_from(["rho", "delta", "b", "c0"]), NON_FINITE)
