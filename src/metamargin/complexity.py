@@ -72,25 +72,26 @@ class FunctionValueMatrix:
             handle.write(f"# b={self.b!r}\n")
             writer = csv.writer(handle)
             labels = self.labels or tuple(f"f{i}" for i in range(self.n_functions))
-            for label, row in zip(labels, self.values):
-                writer.writerow([label] + [repr(float(v)) for v in row])
+            for label, row in zip(labels, self.values.tolist()):
+                writer.writerow([label, *map(repr, row)])
 
     @classmethod
     def from_csv(cls, path: str) -> "FunctionValueMatrix":
+        """Read what ``to_csv`` writes. Labels use standard CSV quoting,
+        blank lines are skipped, and the values are parsed by numpy's
+        reader; a malformed body raises ValueError."""
         with open(path, "r", newline="") as handle:
             header = handle.readline().strip()
             if not header.startswith("# b="):
                 raise ValueError("matrix CSV must start with a '# b=<value>' line")
             b = float(header[len("# b="):])
-            labels, rows = [], []
-            for record in csv.reader(handle):
-                if not record:
-                    continue
-                labels.append(record[0])
-                rows.append([float(v) for v in record[1:]])
-        if not rows:
+            body = handle.readlines()  # each line keeps its ending, so quoted newlines survive
+        first = next((record for record in csv.reader(body) if record), None)
+        if first is None:
             raise ValueError("matrix CSV contains no rows")
-        return cls(values=np.array(rows), b=b, labels=tuple(labels))
+        row = np.dtype([("label", object), ("values", np.float64, (len(first) - 1,))])
+        table = np.loadtxt(body, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        return cls(values=np.ascontiguousarray(table["values"]), b=b, labels=tuple(table["label"]))
 
 
 @dataclass(frozen=True)
@@ -170,15 +171,18 @@ def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: b
     vals = A.values
     n_pts = A.n_points
     rng = np.random.default_rng(seed)
-    chunk = max(1, _CHUNK_ELEMENTS // n_pts)
+    chunk = min(draws, max(1, _CHUNK_ELEMENTS // n_pts))
+    buffer = np.empty(n_pts * chunk)  # every chunk fills a C-contiguous prefix, as out= needs
     sups = np.empty(draws)
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
+        noise = buffer[:n_pts * take].reshape(n_pts, take)
         if gaussian:
-            noise = rng.standard_normal((n_pts, take))
+            rng.standard_normal(out=noise)
         else:
-            noise = rng.integers(0, 2, size=(n_pts, take)).astype(np.float64) * 2.0 - 1.0
+            np.multiply(rng.integers(0, 2, size=(n_pts, take)), 2.0, out=noise)
+            noise -= 1.0
         sups[done:done + take] = (vals @ noise).max(axis=0)
         done += take
     sups *= 2.0 / n_pts

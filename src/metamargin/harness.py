@@ -313,12 +313,19 @@ def query_split_accuracy(
 
 @dataclass(frozen=True)
 class ExpectedComplexities:
-    """Environment-level complexity inputs, averaged over outer draws."""
+    """Environment-level complexity inputs, averaged over outer draws.
+
+    The ``*_se`` fields are the Monte Carlo standard errors of the two
+    Gaussian means, sqrt(sum of the draws' squared standard errors) / K
+    over the K draws that succeeded; they are reported, never bounded on.
+    """
 
     gamma_meta: float
     gamma_task: float
     entropy_meta: float
     entropy_task: float
+    gamma_meta_se: float
+    gamma_task_se: float
 
 
 def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFamily,
@@ -331,10 +338,11 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
     """
     env, bound = config.environment, config.bound
 
-    def complexities(A: FunctionValueMatrix, mc_seed: int) -> tuple[float, float]:
-        """max(0, Gaussian complexity) and entropy integral of one restriction."""
-        return (max(0.0, gaussian_complexity_mc(A, config.mc_draws, mc_seed).mean),
-                entropy_integral(A, config.dudley_levels))
+    def complexities(A: FunctionValueMatrix, mc_seed: int) -> tuple[float, float, float]:
+        """max(0, Gaussian complexity), entropy integral and the Gaussian
+        complexity's standard error, of one restriction."""
+        gamma = gaussian_complexity_mc(A, config.mc_draws, mc_seed)
+        return max(0.0, gamma.mean), entropy_integral(A, config.dudley_levels), gamma.std_error
 
     policy = SeedPolicy(seed)
     task_root = SeedPolicy(policy.child(0))
@@ -355,11 +363,19 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
         meta.append(complexities(A, unit.child(1)))
     if not task or not meta:
         raise NumericError("every outer draw failed while estimating expected complexities")
-    # per level: the mean of each column, summed in draw order
-    (gamma_task, entropy_task), (gamma_meta, entropy_meta) = (
-        [sum(column) / len(draws) for column in zip(*draws)] for draws in (task, meta))
+
+    def level(draws: list) -> tuple[float, float, float]:
+        """The level's mean Gaussian complexity and entropy integral, summed
+        in draw order, and the Gaussian mean's standard error."""
+        gammas, entropies, ses = zip(*draws)
+        k = len(draws)
+        return sum(gammas) / k, sum(entropies) / k, math.sqrt(sum(se * se for se in ses)) / k
+
+    gamma_task, entropy_task, gamma_task_se = level(task)
+    gamma_meta, entropy_meta, gamma_meta_se = level(meta)
     return ExpectedComplexities(gamma_meta=gamma_meta, gamma_task=gamma_task,
-                                entropy_meta=entropy_meta, entropy_task=entropy_task)
+                                entropy_meta=entropy_meta, entropy_task=entropy_task,
+                                gamma_meta_se=gamma_meta_se, gamma_task_se=gamma_task_se)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer
+from metamargin.cli import main
 from metamargin.complexity import (
     _greedy_cover_from_sq_dists,
     _normalized_sq_dists,
@@ -103,6 +105,109 @@ class TestMatrixValidation:
         B = FunctionValueMatrix.from_csv(path)
         assert np.array_equal(A.values, B.values)
         assert B.b == 1.5 and B.labels == A.labels
+
+
+def csv_module_read(path):
+    """Reference reader: the csv module and one float() per cell, with
+    empty records skipped."""
+    with open(path, newline="") as handle:
+        handle.readline()
+        records = [record for record in csv.reader(handle) if record]
+    return [r[0] for r in records], np.array([[float(v) for v in r[1:]] for r in records])
+
+
+def reference_csv_bytes(A, path):
+    """The bytes of a writer that formats each cell as repr(float(v))."""
+    with open(path, "w", newline="") as handle:
+        handle.write(f"# b={A.b!r}\n")
+        writer = csv.writer(handle)
+        labels = A.labels or tuple(f"f{i}" for i in range(A.n_functions))
+        for label, row in zip(labels, A.values):
+            writer.writerow([label] + [repr(float(v)) for v in row])
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+LABEL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                     max_size=8)
+LABELS = st.one_of(LABEL_TEXT, st.sampled_from(["a,b", 'say "hi"', "two\nlines", "#comment",
+                                                "cr\r\nlf", "ff\x0cls ", " padded ", "", "1.5"]))
+
+
+@st.composite
+def csv_matrices(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    b = draw(st.sampled_from([1.0, 2.5, 25.0, 1e-300]))
+    cell = st.one_of(st.floats(-b, b, allow_subnormal=True),
+                     st.sampled_from([0.0, -0.0, b, -b, 5e-324, -5e-324, 2.2250738585072014e-308]))
+    values = np.array(draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n)))
+    labels = draw(st.none() | st.lists(LABELS, min_size=n, max_size=n).map(tuple))
+    return FunctionValueMatrix(values=values, b=b, labels=labels)
+
+
+class TestMatrixCsv:
+    @given(csv_matrices())
+    @settings(deadline=None, max_examples=200)
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, A):
+        path = str(tmp_path_factory.mktemp("csv") / "matrix.csv")
+        A.to_csv(path)
+        B = FunctionValueMatrix.from_csv(path)
+        assert B.values.shape == A.values.shape and B.values.flags.c_contiguous
+        assert np.array_equal(B.values.view(np.int64), A.values.view(np.int64))
+        assert B.labels == (A.labels or tuple(f"f{i}" for i in range(A.n_functions)))
+        assert B.b == A.b
+
+    @given(csv_matrices())
+    @settings(deadline=None, max_examples=100)
+    def test_writer_bytes_match_repr_of_each_float(self, tmp_path_factory, A):
+        tmp = tmp_path_factory.mktemp("csv")
+        A.to_csv(str(tmp / "matrix.csv"))
+        assert (tmp / "matrix.csv").read_bytes() == reference_csv_bytes(A, str(tmp / "ref.csv"))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_read_as_the_csv_module_reads_them(self, tmp_path, newline):
+        rows = ["", "", "f0,0.25,-0.5", "", '"y=1,|""q""",1e-320,-0.0', "", "f2, +1.5 ,0.125", "", ""]
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(newline.join(["# b=2.0"] + rows).encode())
+        A = FunctionValueMatrix.from_csv(str(path))
+        labels, values = csv_module_read(str(path))
+        assert A.labels == tuple(labels) == ("f0", 'y=1,|"q"', "f2")
+        assert np.array_equal(A.values.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("body", [
+        "f0,0.5,0.25\nf1,0.5\n",  # ragged rows
+        "f0,0.5,0.25\nf1,0.5,0.25,0.125\n",  # ragged rows
+        "f0,0.5,zero\n",  # a non-numeric cell
+        "f0,1_0,0.5\n",  # a Python-only float spelling
+        "",  # header only
+        "\n\n",  # header and blank lines only
+        "f0\nf1\n",  # rows that hold only a label
+    ])
+    def test_malformed_body_raises_and_estimate_exits_2(self, tmp_path, capsys, body):
+        path = tmp_path / "matrix.csv"
+        path.write_text("# b=20.0\n" + body)
+        with pytest.raises(ValueError):
+            FunctionValueMatrix.from_csv(str(path))
+        assert main(["estimate", "--input", str(path), "--estimator", "massart"]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+# Exact recorded results: any change to the random stream, the chunk
+# shapes or the matmul moves them. PINNED_WIDE has 5,000 columns, so
+# 2,000 draws take two chunks, the second partial.
+PINNED_WIDE = FunctionValueMatrix(values=np.random.default_rng(2024).uniform(-1, 1, size=(6, 5000)), b=1.0)
+PINNED_EYE = FunctionValueMatrix(values=np.eye(2), b=1.0)
+
+
+@pytest.mark.parametrize("A, estimator, mean, std_error", [
+    (PINNED_WIDE, gaussian_complexity_mc, 0.020127541585647654, 0.00023437594657203993),
+    (PINNED_WIDE, rademacher_complexity_mc, 0.020967928972798623, 0.0002399855363945381),
+    (PINNED_EYE, gaussian_complexity_mc, 0.5765288975077831, 0.018281878688140338),
+    (PINNED_EYE, rademacher_complexity_mc, 0.524, 0.019049762379708617),
+])
+def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
+    est = estimator(A, 2000, 11)
+    assert (est.mean, est.std_error, est.draws) == (mean, std_error, 2000)
 
 
 class TestGaussianComplexity:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,13 @@ import pytest
 from conftest import ConstantScorer
 from metamargin.bounds import BoundInputs, gaussian_transfer_bound, covering_transfer_bound, \
     surrogate_multimargin_bound, vc_transfer_bound
-from metamargin.complexity import build_pi1f_restriction, entropy_integral, gaussian_complexity_mc
+from metamargin import harness
+from metamargin.complexity import (
+    ComplexityEstimate,
+    build_pi1f_restriction,
+    entropy_integral,
+    gaussian_complexity_mc,
+)
 from metamargin.core import (
     EnvironmentSpec,
     EpisodeBatch,
@@ -166,6 +173,23 @@ class TestBoundValidity:
         assert lines[0] == CSV_HEADER and len(lines) == 1 + 3  # the reasons stay out of the CSV
         _, clean = bound_validity_experiment(small_config())
         assert clean["failed_trials"] == 0 and clean["failed_by_reason"] == {}
+
+    def test_summary_reports_gaussian_standard_errors(self, monkeypatch):
+        def run_with(std_errors):
+            """The experiment with each outer draw's Gaussian standard error
+            taken in turn from std_errors: 4 task draws, then 2 meta draws."""
+            errors = iter(std_errors)
+            monkeypatch.setattr(harness, "gaussian_complexity_mc", lambda A, draws, seed:
+                                ComplexityEstimate(mean=0.01, std_error=next(errors), draws=draws))
+            return bound_validity_experiment(small_config())
+
+        rows, summary = run_with([0.1, 0.2, 0.2, 0.4, 0.3, 0.4])
+        expected = summary["expected_complexities"]
+        assert expected["gamma_task_se"] == pytest.approx(math.sqrt(0.01 + 0.04 + 0.04 + 0.16) / 4)
+        assert expected["gamma_meta_se"] == pytest.approx(math.sqrt(0.09 + 0.16) / 2)
+        assert expected["gamma_task"] == pytest.approx(0.01) and expected["gamma_meta"] == pytest.approx(0.01)
+        # reported only: no bound and no row depends on them
+        assert run_with([0.0] * 6)[0] == rows
 
 
 class TestResultCsv:
