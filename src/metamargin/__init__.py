@@ -66,10 +66,7 @@ from .learners import (
 from .losses import (
     ScoringFunction,
     episode_losses,
-    margin,
-    margin_loss,
     margin_terms,
-    multi_margin_loss,
 )
 
 __version__ = "0.1.0"

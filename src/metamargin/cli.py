@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--v", type=int, required=True)
     p_bound.add_argument("--b", type=float, required=True)
-    p_bound.add_argument("--c0", type=float, default=None)
+    p_bound.add_argument("--c0", type=float, default=DEFAULT_C0)
     p_bound.add_argument("--avg-loss", type=float, default=0.0,
                          help="average empirical loss (multi-margin for --kind surrogate)")
     p_bound.add_argument("--gamma-meta", type=float, default=0.0)
@@ -113,15 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     kwargs = {"k": args.k, "rho": args.rho, "delta": args.delta, "n": args.n,
-              "v": args.v, "b": args.b}
-    if args.c0 is not None:
-        kwargs["c0"] = args.c0
+              "v": args.v, "b": args.b, "c0": args.c0}
     if args.kind == "kway_sshot":
         if args.s is None or args.q is None:
             raise ValueError("--kind kway_sshot requires --s and --q")
         term = kway_sshot_complexity_term(
-            args.k, args.s, args.q, args.n, args.rho, args.v, args.b,
-            args.c0 if args.c0 is not None else DEFAULT_C0)
+            args.k, args.s, args.q, args.n, args.rho, args.v, args.b, args.c0)
         _print_json({"kind": "kway_sshot", "m": args.k * (args.s + args.q),
                      "complexity_term": term})
         return 0

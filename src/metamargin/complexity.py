@@ -78,20 +78,24 @@ class FunctionValueMatrix:
     @classmethod
     def from_csv(cls, path: str) -> "FunctionValueMatrix":
         """Read what ``to_csv`` writes. Labels use standard CSV quoting,
-        blank lines are skipped, and the values are parsed by numpy's
-        reader; a malformed body raises ValueError."""
+        blank lines are skipped, and b and the values are parsed by
+        numpy's reader; a malformed header or body raises ValueError."""
         with open(path, "r", newline="") as handle:
             header = handle.readline().strip()
             if not header.startswith("# b="):
                 raise ValueError("matrix CSV must start with a '# b=<value>' line")
-            b = float(header[len("# b="):])
+            text = header[len("# b="):]
             body = handle.readlines()  # each line keeps its ending, so quoted newlines survive
+        # parsed like the body; np.loadtxt only warns on an empty value, hence the guard
+        b = np.loadtxt([text], delimiter=",", quotechar='"', comments=None, ndmin=1) if text else ()
+        if len(b) != 1:
+            raise ValueError(f"matrix CSV header must hold one number after '# b=', got {text!r}")
         first = next((record for record in csv.reader(body) if record), None)
         if first is None:
             raise ValueError("matrix CSV contains no rows")
         row = np.dtype([("label", object), ("values", np.float64, (len(first) - 1,))])
         table = np.loadtxt(body, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
-        return cls(values=np.ascontiguousarray(table["values"]), b=b, labels=tuple(table["label"]))
+        return cls(values=np.ascontiguousarray(table["values"]), b=float(b[0]), labels=tuple(table["label"]))
 
 
 @dataclass(frozen=True)

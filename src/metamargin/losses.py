@@ -67,44 +67,9 @@ def episode_losses(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.n
     return margin_loss_array(rho, margins).mean(axis=-1), (hinges.sum(axis=-1) / (k - 1)).mean(axis=-1)
 
 
-def _one_point(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> np.ndarray:
-    """f's scores at the single input x, shape (1, k)."""
-    if not 1 <= y <= k:
-        raise ValueError(f"label {y} outside 1..{k}")
-    s = np.asarray(f.scores_matrix(np.asarray(x, dtype=np.float64)[None]), dtype=np.float64)
-    if s.shape != (1, k):
-        # e.g. a scorer fitted on more than one episode
-        raise ValueError(f"scorer returned scores of shape {s.shape}, expected (1, {k})")
-    return s
-
-
-def margin(f: ScoringFunction, x: np.ndarray, y: int, k: int) -> float:
-    """True-class score minus the best competing score; lies in [-2b, 2b]."""
-    # rho only scales the hinges, which are not used here
-    margins, _ = margin_terms(_one_point(f, x, y, k), np.array([y]), 1.0)
-    return float(margins[0])
-
-
-def margin_loss(rho: float, t: float) -> float:
-    """Ramp loss: 1 for t <= 0, 0 for t >= rho, linear in between; NaN
-    at a NaN margin."""
-    return float(margin_loss_array(rho, t))
-
-
 def margin_loss_array(rho: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized ramp loss."""
+    """Ramp loss of margins t: 1 for t <= 0, 0 for t >= rho, linear in
+    between; NaN at a NaN margin."""
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     return np.clip(1.0 - np.asarray(t, dtype=np.float64) / rho, 0.0, 1.0)
-
-
-def multi_margin_loss(f: ScoringFunction, x: np.ndarray, y: int, rho: float, k: int) -> float:
-    """Per-competitor hinge average at one point.
-
-    Zero when every competing score trails the true score by at least
-    rho; not clamped above, so the raw value can exceed 1 (bounded by
-    1 + 2b/rho via the score bound).
-    """
-    _, hinges = margin_terms(_one_point(f, x, y, k), np.array([y]), rho)
-    return float(hinges[0].sum() / (k - 1))
-

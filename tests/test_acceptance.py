@@ -19,7 +19,7 @@ from metamargin.complexity import FunctionValueMatrix, dudley_bound, gaussian_co
     massart_bound, rademacher_complexity_mc
 from metamargin.harness import ExperimentConfig, FamilyGroup, FamilySpec, LearnerSpec, \
     bound_validity_experiment, sweep
-from metamargin.losses import margin, margin_loss, margin_loss_array, multi_margin_loss
+from metamargin.losses import episode_losses, margin_loss_array
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> bool:
@@ -108,17 +108,15 @@ def test_criterion_01_surrogate_inequality():
         violations += int(np.sum(ramp > surrogate + 1e-12))
         total += draws
 
-    # spot-check the vectorized evaluation against the public API
+    # spot-check the vectorized evaluation against episode_losses
     for _ in range(200):
         k = int(rng.integers(2, 11))
         s = rng.uniform(-5, 5, k)
         y = int(rng.integers(1, k + 1))
         rho = float(rng.uniform(0.1, 10.0))
         f = TableScorer([s], b=5.0)
-        x = np.array([0.0])
-        lhs = margin_loss(rho, margin(f, x, y, k))
-        rhs = (k - 1) * multi_margin_loss(f, x, y, rho, k)
-        assert lhs <= rhs + 1e-12
+        ramp, multi = episode_losses(f.scores_matrix(np.array([[0.0]])), np.array([y]), rho)
+        assert ramp <= (k - 1) * multi + 1e-12
     elapsed = time.perf_counter() - start
     ok = violations == 0 and total >= 100_000 and elapsed < 5.0
     assert report(1, "surrogate inequality", ok,

@@ -69,6 +69,20 @@ class TestBoundCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["m"] == 100 and payload["complexity_term"] > 0
 
+    @pytest.mark.parametrize("kind_args", [
+        ["--kind", "vc", "--m", "100"],
+        ["--kind", "kway_sshot", "--s", "5", "--q", "15"],
+    ])
+    def test_c0_defaults_to_e(self, capsys, kind_args):
+        def run(*c0_args):
+            argv = ["bound", *kind_args, "--k", "5", "--rho", "1", "--n", "50", "--v", "17", "--b", "1"]
+            assert main(argv + list(c0_args)) == 0
+            return capsys.readouterr().out
+
+        default = run()
+        assert default == run("--c0", "2.718281828459045")
+        assert default != run("--c0", "4")
+
 
 class TestEstimateCommand:
     def test_gaussian_estimator(self, tmp_path, capsys):

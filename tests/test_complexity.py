@@ -182,30 +182,54 @@ class TestMatrixCsv:
         "",  # header only
         "\n\n",  # header and blank lines only
         "f0\nf1\n",  # rows that hold only a label
+        "# b=1_0\nf0,0.5\n",  # a header with a Python-only float spelling
+        "# b=\nf0,0.5\n",  # a header without a value
+        "# b=1.0,2.0\nf0,0.5\n",  # a header with two values
     ])
     def test_malformed_body_raises_and_estimate_exits_2(self, tmp_path, capsys, body):
         path = tmp_path / "matrix.csv"
-        path.write_text("# b=20.0\n" + body)
+        # an input that starts with its own header replaces the valid one
+        path.write_text(body if body.startswith("# b=") else "# b=20.0\n" + body)
         with pytest.raises(ValueError):
             FunctionValueMatrix.from_csv(str(path))
         assert main(["estimate", "--input", str(path), "--estimator", "massart"]) == 2
         assert "error" in capsys.readouterr().err
 
 
-# Exact recorded results: any change to the random stream, the chunk
-# shapes or the matmul moves them. PINNED_WIDE has 5,000 columns, so
-# 2,000 draws take two chunks, the second partial.
+# Exact results: any change to the random stream, the chunk shapes or
+# the matmul moves them. PINNED_WIDE has 5,000 columns, so 2,000 draws
+# take two chunks, the second partial. Its matmul sums 5,000 products in
+# an order that depends on the BLAS thread count, so its results are
+# compared with a reference that repeats the stream, the chunk shapes and
+# the matmul; PINNED_EYE's are recorded.
 PINNED_WIDE = FunctionValueMatrix(values=np.random.default_rng(2024).uniform(-1, 1, size=(6, 5000)), b=1.0)
 PINNED_EYE = FunctionValueMatrix(values=np.eye(2), b=1.0)
 
 
+def pinned_wide_reference(estimator):
+    """(mean, std_error) of ``estimator(PINNED_WIDE, 2000, 11)``: noise from
+    default_rng(11) in chunks of 1,677 then 323 draws, one matmul each."""
+    rng = np.random.default_rng(11)
+    sups = []
+    for take in (1677, 323):
+        if estimator is gaussian_complexity_mc:
+            noise = rng.standard_normal(size=(5000, take))
+        else:
+            noise = rng.integers(0, 2, size=(5000, take)) * 2.0 - 1.0
+        sups.append((PINNED_WIDE.values @ noise).max(axis=0))
+    sups = np.concatenate(sups) * (2.0 / 5000)
+    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(2000))
+
+
 @pytest.mark.parametrize("A, estimator, mean, std_error", [
-    (PINNED_WIDE, gaussian_complexity_mc, 0.020127541585647654, 0.00023437594657203993),
-    (PINNED_WIDE, rademacher_complexity_mc, 0.020967928972798623, 0.0002399855363945381),
+    (PINNED_WIDE, gaussian_complexity_mc, None, None),
+    (PINNED_WIDE, rademacher_complexity_mc, None, None),
     (PINNED_EYE, gaussian_complexity_mc, 0.5765288975077831, 0.018281878688140338),
     (PINNED_EYE, rademacher_complexity_mc, 0.524, 0.019049762379708617),
 ])
 def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
+    if A is PINNED_WIDE:
+        mean, std_error = pinned_wide_reference(estimator)
     est = estimator(A, 2000, 11)
     assert (est.mean, est.std_error, est.draws) == (mean, std_error, 2000)
 

@@ -6,20 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer, TableScorer
 from metamargin.core import EpisodeBatch
-from metamargin.learners import (
-    FeatureFamily,
-    FeatureMap,
-    linear_multimargin_learn,
-    meta_erm_select,
-    nearest_centroid_learn,
-)
-from metamargin.losses import (
-    episode_losses,
-    margin,
-    margin_loss,
-    margin_loss_array,
-    multi_margin_loss,
-)
+from metamargin.learners import FeatureFamily, FeatureMap, meta_erm_select
+from metamargin.losses import episode_losses, margin_loss_array, margin_terms
 
 
 def index_episode(ys, k):
@@ -36,24 +24,46 @@ def empirical_losses(f, ep, rho):
     return float(ramp), float(multi)
 
 
+def point_terms(f, y, rho=1.0):
+    """Margin and per-competitor hinges of f at the single input 0 with
+    label y."""
+    margins, hinges = margin_terms(f.scores_matrix(np.array([[0.0]])), np.array([y]), rho)
+    return float(margins[0]), hinges[0]
+
+
+def point_margin(f, y):
+    # rho only scales the hinges, which are not used here
+    return point_terms(f, y)[0]
+
+
+def point_multi(f, y, rho):
+    """Multi-margin loss at one point: the hinge sum over the k-1 competitors."""
+    hinges = point_terms(f, y, rho)[1]
+    return float(hinges.sum() / (len(hinges) - 1))
+
+
+def ramp(rho, t):
+    return float(margin_loss_array(rho, t))
+
+
 class TestMargin:
     def test_all_scores_equal(self):
         f = TableScorer([[0.3, 0.3, 0.3]])
-        assert margin(f, np.array([0.0]), 1, 3) == 0.0
+        assert point_margin(f, 1) == 0.0
 
     def test_clear_winner(self):
         f = TableScorer([[2.0, 0.0, 0.0]])
-        assert margin(f, np.array([0.0]), 1, 3) == 2.0
+        assert point_margin(f, 1) == 2.0
 
     def test_negative_margin(self):
         # 0.5 - max(0, 1) = -0.5
         f = TableScorer([[0.5, 0.0, 1.0]])
-        assert margin(f, np.array([0.0]), 1, 3) == -0.5
+        assert point_margin(f, 1) == -0.5
 
     def test_k_one_rejected(self):
         f = TableScorer([[1.0]])
         with pytest.raises(ValueError):
-            margin(f, np.array([0.0]), 1, 1)
+            point_margin(f, 1)
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -61,62 +71,36 @@ class TestMargin:
         for _ in range(200):
             k = rng.integers(2, 8)
             f = TableScorer([rng.uniform(-b, b, k)], b=b)
-            val = margin(f, np.array([0.0]), int(rng.integers(1, k + 1)), int(k))
+            val = point_margin(f, int(rng.integers(1, k + 1)))
             assert -2 * b <= val <= 2 * b
-
-
-IDENTITY_1D = FeatureMap(id="identity", kind="identity", d=1)
-ONE_POINT_LEARNERS = {
-    "centroid": lambda batch: nearest_centroid_learn(batch, IDENTITY_1D, 1.0),
-    "linear": lambda batch: linear_multimargin_learn(batch, IDENTITY_1D, 1.0, 1e-3, 5, 0.1, 1.0),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(ONE_POINT_LEARNERS))
-def test_one_point_losses_reject_a_batch_scorer(kind):
-    # A scorer fitted on two episodes has no single score row: margin and
-    # multi_margin_loss must not read episode 0's scores off it.
-    batch = EpisodeBatch(np.array([[[-1.0], [1.0]], [[-2.0], [2.0]]]), np.array([[1, 2], [1, 2]]), 2)
-    scorer = ONE_POINT_LEARNERS[kind](batch)
-    assert not scorer.failed.any()
-    x = np.array([-0.5])
-    with pytest.raises(ValueError):
-        margin(scorer, x, 1, 2)
-    with pytest.raises(ValueError):
-        multi_margin_loss(scorer, x, 1, 1.0, 2)
-    for episode in (0, 1):
-        one = scorer[episode]
-        expected = one.scores_matrix(x[None])[0]
-        assert margin(one, x, 1, 2) == expected[0] - expected[1] > 0
-        assert multi_margin_loss(one, x, 1, 1.0, 2) == max(0.0, 1.0 - (expected[0] - expected[1]))
 
 
 class TestMarginLoss:
     def test_beyond_rho(self):
-        assert margin_loss(1.0, 2.0) == 0.0
+        assert ramp(1.0, 2.0) == 0.0
 
     def test_nonpositive_margin(self):
-        assert margin_loss(1.0, -3.0) == 1.0
+        assert ramp(1.0, -3.0) == 1.0
 
     def test_midpoint(self):
-        assert margin_loss(1.0, 0.5) == 0.5
+        assert ramp(1.0, 0.5) == 0.5
 
     def test_rho_validation(self):
         for rho in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                margin_loss(rho, 1.0)
+                ramp(rho, 1.0)
             with pytest.raises(ValueError):
                 margin_loss_array(rho, np.array([1.0]))
 
     def test_nan_margin_is_nan(self):
         # a NaN margin is not a fully right point (loss 0)
-        assert math.isnan(margin_loss(1.0, math.nan))
+        assert math.isnan(ramp(1.0, math.nan))
         assert np.isnan(margin_loss_array(1.0, np.array([0.5, math.nan]))[1])
 
     @given(st.floats(-50, 50), st.floats(-50, 50),
            st.floats(0.01, 100))
     def test_lipschitz(self, a, b, rho):
-        assert abs(margin_loss(rho, a) - margin_loss(rho, b)) <= abs(a - b) / rho + 1e-12
+        assert abs(ramp(rho, a) - ramp(rho, b)) <= abs(a - b) / rho + 1e-12
 
     def test_lipschitz_bulk(self):
         # 1e5 random pairs, vectorized
@@ -128,11 +112,11 @@ class TestMarginLoss:
 
     @given(st.floats(-100, 100), st.floats(0.01, 100))
     def test_range(self, t, rho):
-        assert 0.0 <= margin_loss(rho, t) <= 1.0
+        assert 0.0 <= ramp(rho, t) <= 1.0
 
     @given(st.floats(-20, 20), st.floats(0.01, 10), st.floats(0.01, 10))
     def test_scale_equivariance(self, t, rho, c):
-        assert margin_loss(c * rho, c * t) == pytest.approx(margin_loss(rho, t), abs=1e-12)
+        assert ramp(c * rho, c * t) == pytest.approx(ramp(rho, t), abs=1e-12)
 
     def test_monotone_nonincreasing(self):
         ts = np.linspace(-5, 5, 2001)
@@ -160,20 +144,20 @@ class TestEmpiricalMarginLoss:
 class TestMultiMarginLoss:
     def test_large_gaps(self):
         f = TableScorer([[2.0, 0.0, 0.0]])
-        assert multi_margin_loss(f, np.array([0.0]), 1, 1.0, 3) == 0.0
+        assert point_multi(f, 1, 1.0) == 0.0
 
     def test_all_zero_scores(self):
         f = TableScorer([[0.0, 0.0, 0.0]], b=1.0)
-        assert multi_margin_loss(f, np.array([0.0]), 1, 1.0, 3) == 1.0
+        assert point_multi(f, 1, 1.0) == 1.0
 
     def test_hand_value(self):
         # terms max(0, 1-0.5) = 0.5 and max(0, 1-(-0.5)) = 1.5 -> mean 1.0
         f = TableScorer([[0.5, 0.0, 1.0]])
-        assert multi_margin_loss(f, np.array([0.0]), 1, 1.0, 3) == pytest.approx(1.0)
+        assert point_multi(f, 1, 1.0) == pytest.approx(1.0)
 
     def test_can_exceed_one(self):
         f = TableScorer([[-1.0, 1.0]])
-        assert multi_margin_loss(f, np.array([0.0]), 1, 1.0, 2) == 3.0
+        assert point_multi(f, 1, 1.0) == 3.0
 
     @given(st.integers(2, 8), st.floats(0.05, 5), st.data())
     @settings(max_examples=200, deadline=None)
@@ -181,7 +165,7 @@ class TestMultiMarginLoss:
         b = 2.0
         scores = data.draw(st.lists(st.floats(-b, b), min_size=k, max_size=k))
         y = data.draw(st.integers(1, k))
-        val = multi_margin_loss(TableScorer([scores], b=b), np.array([0.0]), y, rho, k)
+        val = point_multi(TableScorer([scores], b=b), y, rho)
         assert 0.0 <= val <= 1.0 + 2.0 * b / rho + 1e-9
 
 
@@ -206,9 +190,8 @@ class TestSurrogateInequality:
         scores = data.draw(st.lists(st.floats(-5, 5), min_size=k, max_size=k))
         y = data.draw(st.integers(1, k))
         f = TableScorer([scores], b=5.0)
-        x = np.array([0.0])
-        lhs = margin_loss(rho, margin(f, x, y, k))
-        rhs = (k - 1) * multi_margin_loss(f, x, y, rho, k)
+        lhs = ramp(rho, point_margin(f, y))
+        rhs = (k - 1) * point_multi(f, y, rho)
         assert lhs <= rhs + 1e-12
 
 
