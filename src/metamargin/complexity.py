@@ -14,6 +14,7 @@ All logarithms are natural.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,6 +26,16 @@ from .learners import BaseLearner, FeatureFamily, require_fitted
 
 # Keep one MC noise chunk below ~64 MB of float64 entries.
 _CHUNK_ELEMENTS = 1 << 23
+# Rademacher signs are drawn this many 32-bit values (4 MB) at a time.
+_SIGN_SLAB = 1 << 20
+
+
+def _csv_label(label: str) -> str:
+    """label as ``csv.writer`` writes the first of several fields: quoted
+    if it holds a comma, a quote or a line break, and empty if empty."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((label, ""))
+    return buffer.getvalue()[:-len(",\r\n")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +78,13 @@ class FunctionValueMatrix:
 
     def to_csv(self, path: str) -> None:
         """Write as CSV: a ``# b=<float>`` header line, then one row per
-        function with its label in the first column."""
+        function with its label in the first column. The bytes are those
+        of ``csv.writer`` given the label and each value's ``repr``."""
         with open(path, "w", newline="") as handle:
             handle.write(f"# b={self.b!r}\n")
-            writer = csv.writer(handle)
             labels = self.labels or tuple(f"f{i}" for i in range(self.n_functions))
             for label, row in zip(labels, self.values.tolist()):
-                writer.writerow([label, *map(repr, row)])
+                handle.write(f"{_csv_label(label)},{','.join(map(repr, row))}\r\n")
 
     @classmethod
     def from_csv(cls, path: str) -> "FunctionValueMatrix":
@@ -169,6 +180,23 @@ def episode_restrictions(
             for l in range(batch.n)]
 
 
+def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the flat float64 array out with i.i.d. +-1 signs, the values
+    ``rng.integers(0, 2, size=out.size) * 2.0 - 1.0`` would give.
+
+    At range 2, numpy's 32-bit Lemire path never rejects, so each sign
+    is the top bit of one 32-bit draw (1 -> +1). Drawing those words in
+    bounded slabs gives the same signs and leaves rng in the same state,
+    since the generator keeps its buffered half-word between calls.
+    """
+    for start in range(0, out.size, _SIGN_SLAB):
+        slab = out[start:start + _SIGN_SLAB]
+        bits = rng.integers(0, 1 << 32, size=slab.size, dtype=np.uint32)
+        bits >>= 31
+        np.multiply(bits, 2.0, out=slab)
+        slab -= 1.0
+
+
 def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:
     if draws < 2:
         raise ValueError("draws must be >= 2")
@@ -181,13 +209,12 @@ def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: b
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
-        noise = buffer[:n_pts * take].reshape(n_pts, take)
+        noise = buffer[:n_pts * take]
         if gaussian:
             rng.standard_normal(out=noise)
         else:
-            np.multiply(rng.integers(0, 2, size=(n_pts, take)), 2.0, out=noise)
-            noise -= 1.0
-        sups[done:done + take] = (vals @ noise).max(axis=0)
+            _fill_signs(rng, noise)
+        sups[done:done + take] = (vals @ noise.reshape(n_pts, take)).max(axis=0)
         done += take
     sups *= 2.0 / n_pts
     mean = float(sups.mean())

@@ -55,12 +55,14 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
+# The transfer bounds each trial evaluates, in results CSV column order.
+BOUND_KINDS = ("vc", "gaussian", "covering", "surrogate")
 
 # Run-summary metrics a sweep row reports, in sweep CSV column order.
 SWEEP_METRICS = (
     "mean_test_accuracy", "test_accuracy_se", "mean_avg_empirical_loss",
-    "mean_bound_vc", "mean_bound_gaussian", "mean_bound_covering", "mean_bound_surrogate",
-    "hold_freq_vc", "hold_freq_gaussian", "hold_freq_covering", "hold_freq_surrogate",
+    *(f"mean_bound_{kind}" for kind in BOUND_KINDS),
+    *(f"hold_freq_{kind}" for kind in BOUND_KINDS),
 )
 SWEEP_CSV_HEADER = ",".join(("axis", "value", "status", "trials") + SWEEP_METRICS + ("error",))
 
@@ -431,12 +433,12 @@ def _run_trial(trial: int, config: ExperimentConfig, family: FeatureFamily,
         unit.child(1), config.episode_shape,
     )
 
-    reports = {report.kind: report for report in (
+    reports = dict(zip(BOUND_KINDS, (
         vc_transfer_bound(bound, avg_margin),
         gaussian_transfer_bound(bound, avg_margin, expected.gamma_meta, expected.gamma_task),
         covering_transfer_bound(bound, avg_margin, expected.entropy_meta, expected.entropy_task),
         surrogate_multimargin_bound(bound, avg_multi),
-    )}
+    )))
 
     if config.episode_shape is not None:
         accuracy, _ = query_split_accuracy(
@@ -498,7 +500,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
         "failed_by_reason": reasons,
         "expected_complexities": asdict(expected),
     }
-    for kind in ("vc", "gaussian", "covering", "surrogate"):
+    for kind in BOUND_KINDS:
         flags = [getattr(r, f"holds_{kind}") for r in rows]
         summary[f"hold_freq_{kind}"] = sum(flags) / len(rows)
         summary[f"mean_bound_{kind}"] = float(np.mean([getattr(r, f"bound_{kind}") for r in rows]))

@@ -9,6 +9,7 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -210,7 +211,6 @@ def test_criterion_07b_rho_insensitivity():
 
 
 def test_criterion_08_constants():
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     lead = 24 * mpmath.sqrt(2 * mpmath.pi)
     root = mpmath.sqrt(mpmath.log(16 * mpmath.e))

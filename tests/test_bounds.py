@@ -3,6 +3,7 @@ import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,6 @@ INPUTS = BoundInputs(k=5, rho=1.0, delta=0.1, m=100, n=50, v=17, b=1.0)
 
 
 def mp_constants(b, c0):
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     lead = 24 * mpmath.sqrt(2 * mpmath.pi) * b
     root = mpmath.sqrt(mpmath.log(16 * mpmath.e))
@@ -35,7 +35,6 @@ def mp_constants(b, c0):
 
 class TestConstants:
     def test_high_precision_oracle(self):
-        mpmath = pytest.importorskip("mpmath")
         c1, c2 = constants_c1_c2(1.0, math.e)
         mp_c1, mp_c2 = mp_constants(1, mpmath.e)
         assert abs(c1 - float(mp_c1)) / float(mp_c1) < 1e-9
@@ -91,7 +90,6 @@ class TestVcTransferBound:
 
     def test_spreadsheet_cross_check(self):
         # independent high-precision re-evaluation of the whole formula
-        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         report = vc_transfer_bound(INPUTS, 0.1)
         c1, c2 = mp_constants(1, mpmath.e)

@@ -1,9 +1,11 @@
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantScorer
@@ -164,6 +166,16 @@ class TestMatrixCsv:
         A.to_csv(str(tmp / "matrix.csv"))
         assert (tmp / "matrix.csv").read_bytes() == reference_csv_bytes(A, str(tmp / "ref.csv"))
 
+    @pytest.mark.parametrize("label", ["", ",\r\n"])
+    def test_label_is_quoted_as_the_csv_module_quotes_it(self, tmp_path, label):
+        A = FunctionValueMatrix(values=np.array([[0.5, -0.25], [1.0, 0.0]]), b=1.0,
+                                labels=(label, "plain"))
+        A.to_csv(str(tmp_path / "matrix.csv"))
+        written = (tmp_path / "matrix.csv").read_bytes()
+        assert written == reference_csv_bytes(A, str(tmp_path / "ref.csv"))
+        assert written.split(b"\n", 1)[1].startswith(b",0.5" if label == "" else b'",\r\n",0.5')
+        assert FunctionValueMatrix.from_csv(str(tmp_path / "matrix.csv")).labels == (label, "plain")
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_blank_lines_read_as_the_csv_module_reads_them(self, tmp_path, newline):
         rows = ["", "", "f0,0.25,-0.5", "", '"y=1,|""q""",1e-320,-0.0', "", "f2, +1.5 ,0.125", "", ""]
@@ -232,6 +244,29 @@ def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
         mean, std_error = pinned_wide_reference(estimator)
     est = estimator(A, 2000, 11)
     assert (est.mean, est.std_error, est.draws) == (mean, std_error, 2000)
+
+
+def test_rademacher_stream_with_odd_chunks():
+    # 5,001 columns give chunks of 1,677 and 323 draws, each an odd
+    # number of signs, so the second chunk starts on the generator's
+    # buffered half-word
+    A = FunctionValueMatrix(values=np.random.default_rng(2025).uniform(-1, 1, size=(3, 5001)), b=1.0)
+    rng = np.random.default_rng(11)
+    sups = np.concatenate([(A.values @ (rng.integers(0, 2, size=(5001, take)) * 2.0 - 1.0)).max(axis=0)
+                           for take in (1677, 323)]) * (2.0 / 5001)
+    est = rademacher_complexity_mc(A, 2000, 11)
+    assert (est.mean, est.std_error) == (float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(2000)))
+
+
+def test_rademacher_memory_stays_within_one_noise_chunk():
+    A = FunctionValueMatrix(values=np.random.default_rng(3).uniform(-1, 1, size=(40, 5000)), b=1.0)
+    tracemalloc.start()
+    try:
+        rademacher_complexity_mc(A, 2000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 23) + (16 << 20)
 
 
 class TestGaussianComplexity:
@@ -435,9 +470,8 @@ class TestGaussianContraction:
 
 def test_sign_times_gaussian_is_gaussian():
     # Kolmogorov-Smirnov check at significance 0.001 on 1e5 draws
-    stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(55)
     sigma = rng.integers(0, 2, size=100_000) * 2.0 - 1.0
     gamma = rng.standard_normal(100_000)
-    result = stats.kstest(sigma * gamma, "norm")
+    result = scipy.stats.kstest(sigma * gamma, "norm")
     assert result.pvalue >= 0.001

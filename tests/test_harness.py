@@ -27,6 +27,7 @@ from metamargin.core import (
     sample_task,
 )
 from metamargin.harness import (
+    BOUND_KINDS,
     CSV_HEADER,
     SWEEP_CSV_HEADER,
     ExperimentConfig,
@@ -141,6 +142,19 @@ class TestBoundValidity:
         rows, summary = bound_validity_experiment(small_config(trials=1))
         assert len(rows) == 1
         assert summary["hold_freq_vc"] in (0.0, 1.0)
+
+    def test_bound_kinds_name_the_columns_and_summary_keys(self):
+        names = [f.name for f in fields(ResultRow)]
+        assert [n for n in names if n.startswith("bound_")] == [f"bound_{kind}" for kind in BOUND_KINDS]
+        assert [n for n in names if n.startswith("holds_")] == [f"holds_{kind}" for kind in BOUND_KINDS]
+        _, summary = bound_validity_experiment(small_config(trials=1))
+        assert list(summary) == [
+            "trials", "failed_trials", "failed_by_reason", "expected_complexities",
+            "hold_freq_vc", "mean_bound_vc", "hold_freq_gaussian", "mean_bound_gaussian",
+            "hold_freq_covering", "mean_bound_covering", "hold_freq_surrogate", "mean_bound_surrogate",
+            "vacuous_freq_vc", "mean_avg_empirical_loss", "mean_transfer_risk",
+            "mean_test_accuracy", "test_accuracy_se",
+        ]
 
     def test_row_flag_consistency(self):
         rows, _ = bound_validity_experiment(small_config())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from metamargin.core import EnvironmentSpec, EpisodeBatch, sample_meta_sample
 from metamargin.learners import (
@@ -142,7 +143,6 @@ class TestLinearMultimargin:
         assert episode_losses(scorer.scores_matrix(ep.xs), ep.ys, 1.0)[1][0] == 1.0
 
     def test_separable_reaches_low_loss(self):
-        scipy_opt = pytest.importorskip("scipy.optimize")
         ep = two_cluster_episode(gap=6.0)
         rho, lam = 1.0, 1e-4
         scorer = linear_multimargin_learn(ep, self.PHI2, rho, lam, 400, 0.2, 10.0)
@@ -161,7 +161,7 @@ class TestLinearMultimargin:
             hinges[idx, col] = 0.0
             return hinges.sum() / ((2 - 1) * ep.m) + lam * (W ** 2).sum()
 
-        res = scipy_opt.minimize(objective, np.zeros(4), method="Nelder-Mead",
+        res = scipy.optimize.minimize(objective, np.zeros(4), method="Nelder-Mead",
                                  options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000})
         assert res.fun < 0.05  # the oracle confirms the instance is solvable
         assert objective(scorer.W.ravel()) <= res.fun + 0.05
