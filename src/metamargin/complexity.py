@@ -5,8 +5,8 @@ per scalar function (a trained scorer projected onto one class label),
 one column per sample point. On top of that matrix this module
 provides Monte Carlo Gaussian and Rademacher complexity, the Massart
 finite-class bound, greedy epsilon-covers under the data-dependent L2
-metric d(f, g) = sqrt(mean_j (f_j - g_j)^2), and the finite chaining
-(Dudley) bound.
+metric d(f, g) = sqrt(mean_j (f_j - g_j)^2), built for every scale in
+one first-fit pass over the rows, and the finite chaining (Dudley) bound.
 
 All logarithms are natural.
 """
@@ -28,6 +28,7 @@ from .learners import BaseLearner, FeatureFamily, require_fitted
 _CHUNK_ELEMENTS = 1 << 23
 # Rademacher signs are drawn this many 32-bit values (4 MB) at a time.
 _SIGN_SLAB = 1 << 20
+_SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pass
 
 
 def _csv_label(label: str) -> str:
@@ -248,33 +249,34 @@ def _normalized_sq_dists(vals: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0) / vals.shape[1]
 
 
-def _greedy_cover_from_sq_dists(d2: np.ndarray, eps: float) -> list[int]:
-    # First fit: row i opens a center when min over earlier centers c of
-    # d2[i, c] exceeds eps^2. near[j] holds that minimum for every row j,
-    # so the next center is the first later row with near > eps^2.
-    eps_sq = eps * eps
-    centers = [0]
-    near = d2[:, 0].copy()
-    while True:
-        i = centers[-1]
-        later = np.flatnonzero(near[i + 1:] > eps_sq)
-        if later.size == 0:
-            return centers
-        centers.append(i + 1 + int(later[0]))
-        np.minimum(near, d2[:, centers[-1]], out=near)
+def _greedy_covers(d2: np.ndarray, scales) -> list[list[int]]:
+    # One first-fit pass over the rows for every scale: row 0 opens a center, and row i opens one
+    # at scale l when near[l, i] = min of d2[i, c] over the centers c < i opened at scale l exceeds
+    # scales[l]^2. Scales below every off-diagonal entry open every row and skip the scan.
+    sq = np.array([s * s for s in scales], dtype=np.float64)
+    cols = np.ascontiguousarray(d2.T)  # cols[c] is the column d2[:, c]
+    np.fill_diagonal(cols, np.inf)  # d2[i, i] would enter near[:, i] only after row i is decided
+    opened = np.ones((cols.shape[0], sq.size), dtype=bool)
+    scanned = np.flatnonzero(~(sq < cols.min()))
+    sq, scan = sq[scanned], opened[:, scanned]
+    near = np.repeat(cols[None, 0], scanned.size, axis=0)
+    for i in range(1, cols.shape[0]):
+        np.greater(near[:, i], sq, out=scan[i])
+        np.minimum(near, cols[i], out=near, where=scan[i, :, None])
+    opened[:, scanned] = scan
+    return [np.flatnonzero(column).tolist() for column in opened.T]
 
 
 def greedy_epsilon_cover(A: FunctionValueMatrix, eps: float) -> tuple[list[int], int]:
     """First-fit cover under the normalized L2 metric.
 
-    Scans rows in index order, opening a new center whenever no
-    existing center lies within eps. Every row ends within eps of a
-    center, so the returned size upper-bounds the minimal covering
-    number at eps.
+    Scans rows in index order, opening a center whenever no center lies
+    within eps. Every row ends within eps of a center, so the returned
+    size upper-bounds the minimal covering number at eps.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    centers = _greedy_cover_from_sq_dists(_normalized_sq_dists(A.values), eps)
+    (centers,) = _greedy_covers(_normalized_sq_dists(A.values), [eps])
     return centers, len(centers)
 
 
@@ -290,15 +292,13 @@ def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
         raise ValueError("levels must be >= 1")
     vals = A.values
     L = float(np.sqrt(np.einsum("ij,ij->i", vals, vals) / vals.shape[1]).max())
-    if L == 0.0:
-        return 0.0
     d2 = _normalized_sq_dists(vals)
     total = 0.0
-    for i in range(1, levels + 1):
-        alpha_i = L * 2.0 ** (-i)
-        size = len(_greedy_cover_from_sq_dists(d2, alpha_i))
-        if size > 1:
-            total += (alpha_i / 2.0) * math.sqrt(math.log(size))
+    for start in range(1, levels + 1, _SCALE_BLOCK):
+        alphas = [L * 2.0 ** (-i) for i in range(start, min(start + _SCALE_BLOCK, levels + 1))]
+        for alpha_i, centers in zip(alphas, _greedy_covers(d2, alphas)):
+            if len(centers) > 1:
+                total += (alpha_i / 2.0) * math.sqrt(math.log(len(centers)))
     return total
 
 

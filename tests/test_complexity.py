@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import ConstantScorer
 from metamargin.cli import main
 from metamargin.complexity import (
-    _greedy_cover_from_sq_dists,
+    _greedy_covers,
     _normalized_sq_dists,
     ComplexityEstimate,
     FunctionValueMatrix,
@@ -415,18 +415,86 @@ def loop_cover(d2, eps):
     return centers
 
 
+def kind_sq_dists(kind, n, rng):
+    """An (n, n) squared-distance matrix: of random rows, arbitrary and
+    asymmetric, or integer-valued so that scale 1 ties exactly."""
+    if kind == "rows":
+        return _normalized_sq_dists(rng.uniform(-1, 1, size=(n, int(rng.integers(1, 6)))))
+    if kind == "asymmetric":
+        return rng.uniform(0.0, 4.0, size=(n, n))
+    return rng.integers(0, 3, size=(n, n)).astype(np.float64)
+
+
 @given(st.integers(1, 40), st.sampled_from(["rows", "asymmetric", "ties"]),
        st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
 @settings(deadline=None)
 def test_vectorized_cover_matches_loop(n, kind, eps, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "rows":
-        d2 = _normalized_sq_dists(rng.uniform(-1, 1, size=(n, int(rng.integers(1, 6)))))
-    elif kind == "asymmetric":
-        d2 = rng.uniform(0.0, 4.0, size=(n, n))
-    else:  # integer distances at eps = 1 put rows exactly on the boundary
-        d2, eps = rng.integers(0, 3, size=(n, n)).astype(np.float64), 1.0
-    assert _greedy_cover_from_sq_dists(d2, eps) == loop_cover(d2, eps)
+    d2 = kind_sq_dists(kind, n, np.random.default_rng(seed))
+    if kind == "ties":  # integer distances at eps = 1 put rows exactly on the boundary
+        eps = 1.0
+    assert _greedy_covers(d2, np.array([eps]))[0] == loop_cover(d2, eps)
+
+
+# scales in any order, with repeats, zero, a subnormal and the tie scale 1
+SCALES = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.05, 2.0)),
+                  min_size=1, max_size=16)
+
+
+@given(st.integers(1, 40), st.sampled_from(["rows", "asymmetric", "ties"]), SCALES,
+       st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_covers_at_many_scales_match_loop(n, kind, scales, seed):
+    d2 = kind_sq_dists(kind, n, np.random.default_rng(seed))
+    assert _greedy_covers(d2, scales) == [loop_cover(d2, s) for s in scales]
+
+
+def loop_entropy(A, levels):
+    """Reference chaining sum: one loop_cover per level, added in level order."""
+    vals = A.values
+    L = float(np.sqrt(np.einsum("ij,ij->i", vals, vals) / vals.shape[1]).max())
+    d2 = _normalized_sq_dists(vals)
+    total = 0.0
+    for i in range(1, levels + 1):
+        alpha = L * 2.0 ** (-i)
+        size = len(loop_cover(d2, alpha))
+        if size > 1:
+            total += (alpha / 2.0) * math.sqrt(math.log(size))
+    return total
+
+
+class TestEntropyIntegral:
+    @pytest.mark.parametrize("levels", [1, 12, 1200])  # at 1200, L * 2^-i underflows to 0
+    def test_equals_loop_reference(self, levels):
+        rng = np.random.default_rng(34)
+        rows = rng.uniform(-1, 1, size=(8, 3))
+        dup = FunctionValueMatrix(values=rows[[0, 1, 2, 1, 3, 0, 4, 5, 6, 7, 7, 2]], b=1.0)
+        one = FunctionValueMatrix(values=rows[:1], b=1.0)
+        for A in (dup, one):
+            assert entropy_integral(A, levels) == loop_entropy(A, levels)
+
+    def test_zero_matrix_is_zero(self):
+        value = entropy_integral(FunctionValueMatrix(values=np.zeros((4, 3)), b=1.0), 12)
+        assert value == 0.0 and type(value) is float
+
+    def test_levels_must_be_an_integer(self):
+        A = FunctionValueMatrix(values=np.eye(3), b=1.0)
+        with pytest.raises(TypeError):
+            entropy_integral(A, 2.5)
+        with pytest.raises(ValueError):
+            entropy_integral(A, 0)
+
+    def test_memory_does_not_grow_with_levels(self):
+        A = FunctionValueMatrix(values=np.random.default_rng(35).uniform(-1, 1, size=(200, 10)), b=1.0)
+
+        def peak(levels):
+            tracemalloc.start()
+            try:
+                entropy_integral(A, levels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(5000) <= peak(12) + (1 << 20)
 
 
 class TestDudley:
