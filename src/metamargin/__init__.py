@@ -29,6 +29,7 @@ from .complexity import (
 from .core import (
     EnvironmentSpec,
     EpisodeBatch,
+    EpisodeShape,
     SeedPolicy,
     TaskSpec,
     sample_episode,

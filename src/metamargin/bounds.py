@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import EpisodeShape
+
 DEFAULT_C0 = math.e
 
 
@@ -197,8 +199,7 @@ def kway_sshot_complexity_term(
     """Complexity term specialized to m = k (s + q):
     (sqrt(k)/(rho sqrt(s+q)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2),
     the VC bound's complexity term at that m."""
-    if s < 1 or q < 1:
-        raise ValueError("s and q must be >= 1")
+    s, q = EpisodeShape(s, q)
     # delta enters only the confidence term, so any value in (0, 1) will do
     inputs = BoundInputs(k=k, rho=rho, delta=0.5, m=k * (s + q), n=n, v=v, b=b, c0=c0)
     return vc_transfer_bound(inputs, 0.0).complexity_term

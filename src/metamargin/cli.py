@@ -6,9 +6,10 @@ matrix, ``simulate`` runs a bound-validity experiment from a JSON
 config, and ``sweep`` repeats it along one parameter axis. Exit codes:
 0 on success, 2 on invalid flags or config, 3 on numeric failure.
 
-Seed and output directory can also come from the METAMARGIN_SEED and
-METAMARGIN_OUTPUT_DIR environment variables; flags beat the config
-file, which beats the environment.
+A run's seed is ``--seed`` if given, else the config's (``estimate``:
+0). Its output path is ``--output``, else the config's ``output_path``,
+else results.csv or sweep.csv in the METAMARGIN_OUTPUT_DIR environment
+variable's directory (default: the working directory).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .harness import (
 )
 from .learners import NumericError
 
-ENV_SEED = "METAMARGIN_SEED"
 ENV_OUTPUT_DIR = "METAMARGIN_OUTPUT_DIR"
 
 
@@ -91,24 +91,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--estimator", required=True,
                        choices=["gaussian", "rademacher", "massart", "dudley", "entropy", "cover"])
     p_est.add_argument("--draws", type=int, default=2000)
-    p_est.add_argument("--seed", type=int, default=None)
+    p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--levels", type=int, default=12)
     p_est.add_argument("--eps", type=float, help="radius for --estimator cover")
 
-    p_sim = sub.add_parser("simulate", help="run a bound-validity experiment")
-    p_sim.add_argument("--config", required=True, help="experiment config JSON")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--output", default=None, help="results CSV path")
-    p_sim.add_argument("--workers", type=int, default=None)
+    run = argparse.ArgumentParser(add_help=False)  # the flags simulate and sweep share
+    run.add_argument("--config", required=True, help="experiment config JSON")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--output", default=None, help="output CSV path")
+    run.add_argument("--workers", type=int, default=None)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter axis")
-    p_sweep.add_argument("--config", required=True)
+    sub.add_parser("simulate", parents=[run], help="run a bound-validity experiment")
+    p_sweep = sub.add_parser("sweep", parents=[run], help="sweep one parameter axis")
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -139,12 +139,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     matrix = FunctionValueMatrix.from_csv(args.input)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
     if args.estimator in ("gaussian", "rademacher"):
         fn = gaussian_complexity_mc if args.estimator == "gaussian" else rademacher_complexity_mc
-        est = fn(matrix, args.draws, seed)
+        est = fn(matrix, args.draws, args.seed)
         _print_json({"estimator": args.estimator, **asdict(est)})
     elif args.estimator == "massart":
         _print_json({"estimator": "massart", "value": massart_bound(matrix)})
@@ -165,12 +162,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     with open(args.config) as handle:
-        data = json.load(handle)
-    config = ExperimentConfig.from_json(data)
+        config = ExperimentConfig.from_json(json.load(handle))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    elif "seed" not in data and ENV_SEED in os.environ:
-        config = replace(config, seed=int(os.environ[ENV_SEED]))
     if args.workers is not None:
         config = replace(config, workers=args.workers)
     output = args.output if args.output is not None else config.output_path
@@ -211,9 +205,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -248,6 +248,22 @@ class TaskSpec:
 
 
 @dataclass(frozen=True)
+class EpisodeShape:
+    """A k-way s-shot episode: s support and q query points per class,
+    so m = k*(s+q). Unpacks as ``s, q = shape``."""
+
+    s: int
+    q: int
+
+    def __post_init__(self) -> None:
+        if self.s < 1 or self.q < 1:
+            raise ValueError(f"s and q must be >= 1, got s={self.s}, q={self.q}")
+
+    def __iter__(self):
+        return iter((self.s, self.q))
+
+
+@dataclass(frozen=True)
 class EnvironmentSpec:
     """Distribution over tasks: prototype prior scale plus noise level."""
 
@@ -343,8 +359,7 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
     """
     if task.k != k:
         raise ValueError(f"task has {task.k} classes, expected {k}")
-    if s < 1 or q < 1:
-        raise ValueError(f"s and q must be >= 1, got s={s}, q={q}")
+    s, q = EpisodeShape(s, q)
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma,
                             k * (s + q), _kway_labels(k, s, q), _one_stream(seed))
     return EpisodeBatch(xs, ys, k, s)
@@ -372,15 +387,12 @@ def sample_episode_batches(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    plan = [(m, None if shape is None else EpisodeShape(*shape)) for m, shape in plan]
     for m, shape in plan:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if shape is not None:
-            s, q = shape
-            if s < 1 or q < 1:
-                raise ValueError(f"s and q must be >= 1, got s={s}, q={q}")
-            if m != env.k * (s + q):
-                raise ValueError(f"m={m} must equal k*(s+q)={env.k * (s + q)}")
+        if shape is not None and m != env.k * (shape.s + shape.q):
+            raise ValueError(f"m={m} must equal k*(s+q)={env.k * (shape.s + shape.q)}")
     sigma = max(float(env.noise_sigma), MIN_NOISE_SIGMA)  # as TaskSpec clamps it
     units = _child_seeds(int(seed), np.arange(count, dtype=np.uint64))
     seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
@@ -391,7 +403,7 @@ def sample_episode_batches(
     for i, (m, shape) in enumerate(plan):
         labels = None if shape is None else _kway_labels(env.k, *shape)
         xs, ys = _draw_episodes(protos, probs, sigma, m, labels, streams[i + 1])
-        batches.append(EpisodeBatch(xs, ys, env.k, None if shape is None else shape[0]))
+        batches.append(EpisodeBatch(xs, ys, env.k, None if shape is None else shape.s))
     return tuple(batches)
 
 

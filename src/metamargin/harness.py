@@ -38,7 +38,7 @@ from .complexity import (
     episode_restrictions,
     gaussian_complexity_mc,
 )
-from .core import EnvironmentSpec, SeedPolicy, sample_episode_batches, sample_meta_sample
+from .core import EnvironmentSpec, EpisodeShape, SeedPolicy, sample_episode_batches, sample_meta_sample
 from .learners import (
     BaseLearner,
     FeatureFamily,
@@ -130,7 +130,6 @@ def _from_json_value(tp, value, where: str):
 class FamilyGroup:
     kind: str
     count: int
-    d: Optional[int] = None  # falls back to the family-level d
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ class ExperimentConfig:
     mc_draws: int = 2000
     dudley_levels: int = 12
     test_episodes: int = 600
-    episode_shape: Optional[tuple[int, int]] = None
+    episode_shape: Optional[EpisodeShape] = None
     loss_kind: str = "margin"
     seed: int = 0
     workers: int = 1
@@ -191,28 +190,19 @@ class ExperimentConfig:
             raise ValueError("environment.k and bound.k must agree")
         if self.episode_shape is not None:
             s, q = self.episode_shape
-            if s < 1 or q < 1:
-                raise ValueError("episode shape needs s >= 1 and q >= 1")
+            object.__setattr__(self, "episode_shape", EpisodeShape(s, q))  # coerce an (s, q) pair
             if self.bound.m != self.bound.k * (s + q):
                 raise ValueError(
                     f"bound.m={self.bound.m} must equal k*(s+q)={self.bound.k * (s + q)}"
                 )
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        if self.episode_shape is not None:
-            data["episode_shape"] = dict(zip("sq", self.episode_shape))
-        return data
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        """Read a config object; ``episode_shape`` is ``{"s": s, "q": q}``.
-        Unknown keys and mistyped values raise ValueError."""
-        shape = data.get("episode_shape") if isinstance(data, dict) else None
-        if shape is not None:
-            if not isinstance(shape, dict) or sorted(shape) != ["q", "s"]:
-                raise ValueError(f"episode_shape needs exactly the keys s and q, got {shape!r}")
-            data = {**data, "episode_shape": [shape["s"], shape["q"]]}
+        """Read a config object; unknown keys and mistyped values raise
+        ValueError."""
         return _from_json(cls, data)
 
 
@@ -222,8 +212,7 @@ def build_family(spec: FamilySpec, d_raw: int, seed: int) -> FeatureFamily:
     policy = SeedPolicy(seed)
     maps: list[FeatureMap] = []
     for gi, group in enumerate(spec.groups):
-        d = group.d if group.d is not None else spec.d
-        sub = make_feature_family(d_raw, d, group.count, group.kind, policy.child(gi), spec.norm_cap)
+        sub = make_feature_family(d_raw, spec.d, group.count, group.kind, policy.child(gi), spec.norm_cap)
         for fm in sub.maps:
             maps.append(FeatureMap(id=f"g{gi}-{fm.id}", kind=fm.kind, d=fm.d,
                                    weight=fm.weight, norm_cap=fm.norm_cap))
@@ -259,7 +248,7 @@ def estimate_transfer_risk(
     task_draws: int,
     test_points: int,
     seed: int,
-    shape: Optional[tuple[int, int]] = None,
+    shape: Optional[EpisodeShape] = None,
 ) -> TransferRiskEstimate:
     """Monte Carlo evaluation of the train-on-fresh-task protocol.
 
@@ -298,7 +287,7 @@ def query_split_accuracy(
     env: EnvironmentSpec,
     phi: FeatureMap,
     base_learner: BaseLearner,
-    shape: tuple[int, int],
+    shape: EpisodeShape,
     episodes: int,
     seed: int,
 ) -> tuple[float, float]:
@@ -503,8 +492,9 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     for kind in BOUND_KINDS:
         flags = [getattr(r, f"holds_{kind}") for r in rows]
         summary[f"hold_freq_{kind}"] = sum(flags) / len(rows)
-        summary[f"mean_bound_{kind}"] = float(np.mean([getattr(r, f"bound_{kind}") for r in rows]))
-    summary["vacuous_freq_vc"] = sum(r.vacuous_vc for r in rows) / len(rows)
+        bounds = [getattr(r, f"bound_{kind}") for r in rows]
+        summary[f"mean_bound_{kind}"] = float(np.mean(bounds))
+        summary[f"vacuous_freq_{kind}"] = sum(bound >= 1.0 for bound in bounds) / len(rows)
     summary["mean_avg_empirical_loss"] = float(np.mean([r.avg_empirical_loss for r in rows]))
     summary["mean_transfer_risk"] = float(np.mean([r.transfer_risk for r in rows]))
     summary["mean_test_accuracy"] = float(np.mean([r.test_accuracy for r in rows]))
@@ -540,7 +530,7 @@ def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> Experiment
     # axis s
     if config.episode_shape is None:
         raise ValueError("axis s requires an episode shape in the config")
-    q = config.episode_shape[1]
+    q = config.episode_shape.q
     m = config.bound.k * (value + q)
     return replace(config, episode_shape=(value, q), bound=replace(config.bound, m=m))
 

@@ -187,9 +187,10 @@ class CentroidScorer(ScoringFunction):
         feats = _features(self.phi, xs)
         k = self.centroids.shape[-2]
         dists = np.empty(feats.shape[:-1] + (k,))
-        # One class at a time: the difference tensor stays (..., m, d).
+        # One class at a time, into one reused (..., m, d) difference buffer.
+        diff = np.empty(np.broadcast_shapes(feats.shape, self.centroids[..., :1, :].shape))
         for c in range(k):
-            diff = feats - self.centroids[..., c, None, :]
+            np.subtract(feats, self.centroids[..., c, None, :], out=diff)
             dists[..., c] = np.sqrt(np.einsum("...i,...i->...", diff, diff))
         return np.clip(-dists / self.scale[..., None, None], -self.b, self.b)
 

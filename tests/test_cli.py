@@ -133,16 +133,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", out2, "--seed", "999"]) == 0
         assert open(out1, "rb").read() != open(out2, "rb").read()
 
-    def test_env_seed_used_when_config_omits_it(self, tmp_path, capsys, monkeypatch):
-        data = {k: v for k, v in CONFIG.items() if k != "seed"}
+    def test_env_seed_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # METAMARGIN_SEED is not a seed source: a seedless config and a
+        # seedless estimate give the same output with it set or unset
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(data))
-        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        monkeypatch.setenv("METAMARGIN_SEED", "11")
-        assert main(["simulate", "--config", str(path), "--output", out1]) == 0
-        monkeypatch.delenv("METAMARGIN_SEED")
-        assert main(["simulate", "--config", write_config(tmp_path), "--output", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "seed"}))
+        matrix = str(tmp_path / "matrix.csv")
+        FunctionValueMatrix(values=np.array([[1.0, 0.0], [0.0, 1.0]]), b=1.0).to_csv(matrix)
+        monkeypatch.delenv("METAMARGIN_SEED", raising=False)
+        outputs = []
+        for env_seed in (None, "11"):
+            if env_seed is not None:
+                monkeypatch.setenv("METAMARGIN_SEED", env_seed)
+            out = tmp_path / f"results-{env_seed}.csv"
+            assert main(["simulate", "--config", str(path), "--output", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["estimate", "--input", matrix, "--estimator", "gaussian", "--draws", "50"]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bound={**CONFIG["bound"], "k": 4})

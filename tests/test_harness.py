@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +14,10 @@ from metamargin import harness
 from metamargin.complexity import (
     ComplexityEstimate,
     build_pi1f_restriction,
+    dudley_bound,
     entropy_integral,
     gaussian_complexity_mc,
+    massart_bound,
 )
 from metamargin.core import (
     EnvironmentSpec,
@@ -143,18 +145,27 @@ class TestBoundValidity:
         assert len(rows) == 1
         assert summary["hold_freq_vc"] in (0.0, 1.0)
 
-    def test_bound_kinds_name_the_columns_and_summary_keys(self):
+    def test_bound_kinds_name_the_columns_and_summary_keys(self, monkeypatch):
         names = [f.name for f in fields(ResultRow)]
         assert [n for n in names if n.startswith("bound_")] == [f"bound_{kind}" for kind in BOUND_KINDS]
         assert [n for n in names if n.startswith("holds_")] == [f"holds_{kind}" for kind in BOUND_KINDS]
-        _, summary = bound_validity_experiment(small_config(trials=1))
+        # every bound of this config is vacuous; make one trial's Gaussian bound not
+        totals = iter([0.5, 2.0])
+        gaussian = harness.gaussian_transfer_bound
+        monkeypatch.setattr(harness, "gaussian_transfer_bound",
+                            lambda *args: replace(gaussian(*args), total=next(totals)))
+        rows, summary = bound_validity_experiment(small_config(trials=2))
         assert list(summary) == [
             "trials", "failed_trials", "failed_by_reason", "expected_complexities",
-            "hold_freq_vc", "mean_bound_vc", "hold_freq_gaussian", "mean_bound_gaussian",
-            "hold_freq_covering", "mean_bound_covering", "hold_freq_surrogate", "mean_bound_surrogate",
-            "vacuous_freq_vc", "mean_avg_empirical_loss", "mean_transfer_risk",
+            *(f"{name}_{kind}" for kind in BOUND_KINDS
+              for name in ("hold_freq", "mean_bound", "vacuous_freq")),
+            "mean_avg_empirical_loss", "mean_transfer_risk",
             "mean_test_accuracy", "test_accuracy_se",
         ]
+        for kind in BOUND_KINDS:
+            bounds = [getattr(r, f"bound_{kind}") for r in rows]
+            assert summary[f"vacuous_freq_{kind}"] == np.mean([b >= 1.0 for b in bounds])
+        assert summary["vacuous_freq_gaussian"] == 0.5 and summary["vacuous_freq_vc"] == 1.0
 
     def test_row_flag_consistency(self):
         rows, _ = bound_validity_experiment(small_config())
@@ -330,11 +341,32 @@ class TestPairedBoundInequalities:
             c = covering_transfer_bound(inputs, 0.2, ent_meta, ent_task)
             assert c.total >= g.total
 
+    def test_gaussian_means_within_massart_and_dudley_on_run_restrictions(self, monkeypatch):
+        # Every restriction a default run builds, from episode_restrictions
+        # (task level) and build_pi1f_restriction (meta level), goes through
+        # gaussian_complexity_mc once: its Monte Carlo mean may exceed the
+        # Massart and Dudley upper bounds by at most 4 standard errors.
+        seen = []
+
+        def recording(A, draws, seed):
+            estimate = gaussian_complexity_mc(A, draws, seed)
+            seen.append((A, estimate))
+            return estimate
+
+        monkeypatch.setattr(harness, "gaussian_complexity_mc", recording)
+        config = ExperimentConfig.from_json(json.loads((CONFIGS / "default.json").read_text()))
+        bound_validity_experiment(replace(config, trials=1))
+        assert len(seen) == config.outer_task_draws + config.outer_meta_draws
+        for A, estimate in seen:
+            slack = 4.0 * estimate.std_error
+            assert estimate.mean <= massart_bound(A) + slack
+            assert estimate.mean <= dudley_bound(A, config.dudley_levels) + slack
+
 
 def _config_without_shape():
-    # FamilyGroup.d set, no episode_shape and no output_path
+    # no episode_shape and no output_path
     return small_config(
-        family=FamilySpec(d=8, groups=(FamilyGroup("random_linear", 2, d=4), FamilyGroup("identity", 1))),
+        family=FamilySpec(d=8, groups=(FamilyGroup("random_linear", 2), FamilyGroup("identity", 1))),
         episode_shape=None,
     )
 
@@ -344,7 +376,7 @@ class TestConfig:
         lambda: ExperimentConfig.from_json(json.loads((CONFIGS / "default.json").read_text())),
         lambda: ExperimentConfig.from_json(json.loads((CONFIGS / "sweep.json").read_text())),
         _config_without_shape,
-    ], ids=["default.json", "sweep.json", "group-d-unsplit"])
+    ], ids=["default.json", "sweep.json", "unsplit"])
     def test_json_roundtrip(self, make):
         config = make()
         assert ExperimentConfig.from_json(config.to_json()) == config
@@ -358,11 +390,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(episode_shape=(2, 3))  # k*(s+q)=15 != m=12
 
-    def test_build_family_per_group_dims(self):
-        spec = FamilySpec(d=8, groups=(FamilyGroup("random_linear", 2, d=4),
-                                       FamilyGroup("random_relu", 1)))
+    def test_build_family_ids_distinct_across_groups(self):
+        spec = FamilySpec(d=4, groups=(FamilyGroup("random_linear", 2),
+                                       FamilyGroup("random_linear", 1)))
         fam = build_family(spec, 8, 7)
-        assert [m.d for m in fam.maps] == [4, 4, 8]
+        assert [m.d for m in fam.maps] == [4, 4, 4]
         assert len({m.id for m in fam.maps}) == 3
 
 

@@ -170,7 +170,7 @@ def _config_data(path=(), value=None, delete=False):
     (("trails",), 9, "unknown ExperimentConfig keys: trails"),
     (("environment", "seed"), 1, "unknown EnvironmentSpec keys: seed"),
     (("family", "groups", 0, "size"), 3, "unknown FamilyGroup keys: size"),
-    (("episode_shape", "r"), 1, "episode_shape needs exactly the keys s and q"),
+    (("episode_shape", "r"), 1, "unknown EpisodeShape keys: r"),
     (("trials",), 2.5, "ExperimentConfig.trials must be a JSON int"),
     (("trials",), True, "ExperimentConfig.trials must be a JSON int"),
     (("bound", "n"), "50", "BoundInputs.n must be a JSON int"),
@@ -183,8 +183,9 @@ def _config_data(path=(), value=None, delete=False):
     (("bound", "rho"), True, "BoundInputs.rho must be a JSON float"),
     (("bound", "rho"), "1.0", "BoundInputs.rho must be a JSON float"),
     (("family", "groups"), {"kind": "identity", "count": 1}, "FamilySpec.groups must be a JSON array"),
-    (("episode_shape",), [5, 15], "episode_shape needs exactly the keys s and q"),
+    (("episode_shape",), [5, 15], "EpisodeShape needs a JSON object"),
     (("environment",), [16, 5], "EnvironmentSpec needs a JSON object"),
+    (("family", "groups", 0, "d"), 4, "unknown FamilyGroup keys: d"),
 ])
 def test_config_rejects_unknown_keys_and_mistyped_values(path, value, message):
     with pytest.raises(ValueError, match=message):
@@ -196,7 +197,7 @@ def test_config_rejects_unknown_keys_and_mistyped_values(path, value, message):
     (("environment",), "ExperimentConfig is missing the required key 'environment'"),
     (("bound", "k"), "BoundInputs is missing the required key 'k'"),
     (("family", "groups", 0, "kind"), "FamilyGroup is missing the required key 'kind'"),
-    (("episode_shape", "q"), "episode_shape needs exactly the keys s and q"),
+    (("episode_shape", "q"), "EpisodeShape is missing the required key 'q'"),
 ])
 def test_config_missing_required_key_is_a_value_error(path, message):
     with pytest.raises(ValueError, match=message):
@@ -208,8 +209,7 @@ def test_config_accepts_json_numbers_of_either_kind_and_null_optionals():
     assert config.bound.rho == 1.0 and isinstance(config.bound.rho, float)
     config = ExperimentConfig.from_json(_config_data(("trials",), 3.0))
     assert config.trials == 3 and isinstance(config.trials, int)
-    data = _config_data(("family", "groups", 0, "d"), None)
+    data = _config_data()
     data.update(output_path=None, episode_shape=None)
     config = ExperimentConfig.from_json(data)
     assert config.output_path is None and config.episode_shape is None
-    assert config.family.groups[0].d is None
