@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from .core import EpisodeShape
 
 DEFAULT_C0 = math.e
+# The transfer bounds a validity trial evaluates, in results CSV column order.
+BOUND_KINDS = ("vc", "gaussian", "covering", "surrogate")
 
 
 class InfeasibleError(ValueError):
@@ -86,16 +88,11 @@ class BoundReport:
     vacuous: bool
 
 
-def _report(kind: str, empirical: float, confidence: float, complexity: float) -> BoundReport:
+def _report(kind: str, inputs: BoundInputs, empirical: float, complexity: float) -> BoundReport:
+    confidence = confidence_term(inputs.delta, inputs.n)
     total = empirical + confidence + complexity
-    return BoundReport(
-        empirical_term=empirical,
-        confidence_term=confidence,
-        complexity_term=complexity,
-        total=total,
-        kind=kind,
-        vacuous=total >= 1.0,
-    )
+    return BoundReport(empirical_term=empirical, confidence_term=confidence, complexity_term=complexity,
+                       total=total, kind=kind, vacuous=total >= 1.0)
 
 
 def constants_c1_c2(b: float, c0: float = DEFAULT_C0) -> tuple[float, float]:
@@ -125,14 +122,20 @@ def confidence_term(delta: float, n: int) -> float:
     return math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
+def _margin_loss(value: float) -> float:
+    """``value``, an average empirical ramp loss, checked to lie in [0, 1]."""
+    if not 0 <= value <= 1:
+        raise ValueError("average empirical margin loss must lie in [0, 1]")
+    return value
+
+
 def vc_transfer_bound(inputs: BoundInputs, avg_empirical_margin_loss: float) -> BoundReport:
     """avg loss + confidence + (k/(rho sqrt(m)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2)."""
-    if not 0 <= avg_empirical_margin_loss <= 1:
-        raise ValueError("average empirical margin loss must lie in [0, 1]")
+    empirical = _margin_loss(avg_empirical_margin_loss)
     c1, c2 = constants_c1_c2(inputs.b, inputs.c0)
     rate = inputs.k / (inputs.rho * math.sqrt(inputs.m)) + inputs.k / (inputs.rho * math.sqrt(inputs.n))
     complexity = rate * (c1 * math.sqrt(inputs.v) + c2)
-    return _report("vc", avg_empirical_margin_loss, confidence_term(inputs.delta, inputs.n), complexity)
+    return _report("vc", inputs, empirical, complexity)
 
 
 def gaussian_transfer_bound(
@@ -148,15 +151,14 @@ def gaussian_transfer_bound(
     single fresh tasks (m points). Their coefficients are
     k sqrt(2 m pi) / rho and k sqrt(2 pi) / rho respectively.
     """
-    if not 0 <= avg_empirical_margin_loss <= 1:
-        raise ValueError("average empirical margin loss must lie in [0, 1]")
+    empirical = _margin_loss(avg_empirical_margin_loss)
     _require_finite(gamma_meta=gamma_meta, gamma_task=gamma_task)
     if gamma_meta < 0 or gamma_task < 0:
         raise ValueError("gamma estimates must be >= 0")
     coeff_meta = inputs.k * math.sqrt(2.0 * inputs.m * math.pi) / inputs.rho
     coeff_task = inputs.k * math.sqrt(2.0 * math.pi) / inputs.rho
     complexity = coeff_meta * gamma_meta + coeff_task * gamma_task
-    return _report("gaussian", avg_empirical_margin_loss, confidence_term(inputs.delta, inputs.n), complexity)
+    return _report("gaussian", inputs, empirical, complexity)
 
 
 def covering_transfer_bound(
@@ -172,14 +174,13 @@ def covering_transfer_bound(
     24/sqrt(m) chaining normalizations, so callers pass the integrals
     unscaled (complexity.entropy_integral, not dudley_bound).
     """
-    if not 0 <= avg_empirical_margin_loss <= 1:
-        raise ValueError("average empirical margin loss must lie in [0, 1]")
+    empirical = _margin_loss(avg_empirical_margin_loss)
     _require_finite(entropy_meta=entropy_meta, entropy_task=entropy_task)
     if entropy_meta < 0 or entropy_task < 0:
         raise ValueError("entropy integrals must be >= 0")
     lead = 24.0 * inputs.k * math.sqrt(2.0 * math.pi) / inputs.rho
     complexity = lead / math.sqrt(inputs.n) * entropy_meta + lead / math.sqrt(inputs.m) * entropy_task
-    return _report("covering", avg_empirical_margin_loss, confidence_term(inputs.delta, inputs.n), complexity)
+    return _report("covering", inputs, empirical, complexity)
 
 
 def surrogate_multimargin_bound(inputs: BoundInputs, avg_multimargin_loss: float) -> BoundReport:
@@ -188,9 +189,8 @@ def surrogate_multimargin_bound(inputs: BoundInputs, avg_multimargin_loss: float
     _require_finite(avg_multimargin_loss=avg_multimargin_loss)
     if avg_multimargin_loss < 0:
         raise ValueError("average multi-margin loss must be >= 0")
-    vc = vc_transfer_bound(inputs, 0.0)
-    empirical = (inputs.k - 1) * avg_multimargin_loss
-    return _report("surrogate", empirical, vc.confidence_term, vc.complexity_term)
+    complexity = vc_transfer_bound(inputs, 0.0).complexity_term
+    return _report("surrogate", inputs, (inputs.k - 1) * avg_multimargin_loss, complexity)
 
 
 def kway_sshot_complexity_term(
@@ -199,9 +199,8 @@ def kway_sshot_complexity_term(
     """Complexity term specialized to m = k (s + q):
     (sqrt(k)/(rho sqrt(s+q)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2),
     the VC bound's complexity term at that m."""
-    s, q = EpisodeShape(s, q)
     # delta enters only the confidence term, so any value in (0, 1) will do
-    inputs = BoundInputs(k=k, rho=rho, delta=0.5, m=k * (s + q), n=n, v=v, b=b, c0=c0)
+    inputs = BoundInputs(k=k, rho=rho, delta=0.5, m=EpisodeShape(s, q).m(k), n=n, v=v, b=b, c0=c0)
     return vc_transfer_bound(inputs, 0.0).complexity_term
 
 

@@ -22,6 +22,7 @@ import time
 from dataclasses import asdict, replace
 
 from .bounds import (
+    BOUND_KINDS,
     DEFAULT_C0,
     BoundInputs,
     covering_transfer_bound,
@@ -39,6 +40,7 @@ from .complexity import (
     massart_bound,
     rademacher_complexity_mc,
 )
+from .core import EpisodeShape
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -67,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate a transfer bound from flags")
-    p_bound.add_argument("--kind", default="vc",
-                         choices=["vc", "gaussian", "covering", "surrogate", "kway_sshot"])
+    p_bound.add_argument("--kind", default="vc", choices=[*BOUND_KINDS, "kway_sshot"])
     p_bound.add_argument("--k", type=int, required=True)
     p_bound.add_argument("--rho", type=float, required=True)
     p_bound.add_argument("--delta", type=float, default=0.1)
@@ -117,10 +118,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.kind == "kway_sshot":
         if args.s is None or args.q is None:
             raise ValueError("--kind kway_sshot requires --s and --q")
-        term = kway_sshot_complexity_term(
-            args.k, args.s, args.q, args.n, args.rho, args.v, args.b, args.c0)
-        _print_json({"kind": "kway_sshot", "m": args.k * (args.s + args.q),
-                     "complexity_term": term})
+        shape = EpisodeShape(args.s, args.q)
+        term = kway_sshot_complexity_term(args.k, *shape, args.n, args.rho, args.v, args.b, args.c0)
+        _print_json({"kind": "kway_sshot", "m": shape.m(args.k), "complexity_term": term})
         return 0
     if args.m is None:
         raise ValueError("--m is required for this bound kind")

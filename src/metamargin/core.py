@@ -5,7 +5,9 @@ classification tasks, a task is a distribution over labeled examples,
 and a meta-sample is a collection of episodes drawn from independently
 sampled tasks. Tasks are isotropic Gaussian mixtures around per-task
 class prototypes; the prototypes themselves are drawn from a centered
-Gaussian prior whose scale is set by the environment.
+Gaussian prior whose scale is set by the environment. A k-way s-shot
+episode's geometry has one owner, ``EpisodeShape``: its size m = k*(s+q)
+and its labels, support portion first. ``EpisodeBatch`` carries the shape.
 
 Every sampler is a pure function of (spec, seed). Child seeds are
 derived from a master seed with a splitmix64-style mixer so that
@@ -24,10 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-MIN_NOISE_SIGMA = 1e-12
-
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -78,7 +79,7 @@ def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.nd
 _POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
@@ -107,34 +108,21 @@ def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
     return (out[0::2] | (out[1::2] << np.uint64(32))).T
 
 
-def _mul128(hi: np.ndarray, lo: np.ndarray, c_hi: int, c_lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * (c_hi, c_lo) mod 2**128, with uint64 halves."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = c_lo & _MASK32, c_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
-    lo_hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry
-    return lo_hi + lo * c_hi + hi * c_lo, lo * c_lo
-
-
 def _stream_states(seeds: np.ndarray) -> list[dict]:
     """The bit-generator state ``np.random.default_rng(s)`` starts in, for
     each uint64 seed s.
 
     PCG64 seeds from the seed sequence's four words (initial state, then
-    stream) by srandom: inc = 2*stream + 1, state = (inc + initial)*M + inc.
+    stream) by srandom: inc = 2*stream + 1, state = (inc + initial)*M + inc,
+    both mod 2**128.
     """
-    init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds).T
-    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
-    inc_lo = (seq_lo << 1) | 1
-    lo = inc_lo + init_lo
-    hi = inc_hi + init_hi + (lo < inc_lo)
-    hi, lo = _mul128(hi, lo, _PCG64_MULT_HI, _PCG64_MULT_LO)
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
-    return [{"bit_generator": "PCG64", "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-             "has_uint32": 0, "uinteger": 0}
-            for sh, sl, ih, il in zip(state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in _seed_sequence_state(seeds).tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _one_stream(seed: int) -> list[dict]:
@@ -151,23 +139,47 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class EpisodeShape:
+    """A k-way s-shot episode: s support and q query points per class,
+    support portion first, so m = k*(s+q). Unpacks as ``s, q = shape``."""
+
+    s: int
+    q: int
+
+    def __post_init__(self) -> None:
+        if self.s < 1 or self.q < 1:
+            raise ValueError(f"s and q must be >= 1, got s={self.s}, q={self.q}")
+
+    def __iter__(self):
+        return iter((self.s, self.q))
+
+    def m(self, k: int) -> int:
+        """The size of a k-way episode of this shape."""
+        return k * (self.s + self.q)
+
+    def labels(self, k: int) -> np.ndarray:
+        """Labels of a k-way episode: s then q per class, each block class-major."""
+        classes = np.arange(1, k + 1)
+        return np.concatenate([np.repeat(classes, self.s), np.repeat(classes, self.q)])
+
+
 @dataclass(frozen=True, eq=False)
 class EpisodeBatch:
     """n episodes of one shape, stacked along a leading episode axis.
 
     xs has shape (n, m, d_raw) and ys (n, m), labels in 1..k. If
-    ``split`` is set to a support size s, the first k*s examples of
-    every episode are its support portion and the remaining k*q its
-    query portion, with m = k*(s+q). A meta-sample is a batch whose
-    episodes come from n independently drawn tasks; a single episode is
-    a batch with n = 1. Inputs and labels are validated once, on the
-    stack.
+    ``shape`` is set, m must equal ``shape.m(k)``: the first k*s examples
+    of every episode are its support portion and the remaining k*q its
+    query portion. A meta-sample is a batch whose episodes come from n
+    independently drawn tasks; a single episode is a batch with n = 1.
+    Inputs and labels are validated once, on the stack.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     k: int
-    split: Optional[int] = None
+    shape: Optional[EpisodeShape] = None
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64)
@@ -185,12 +197,8 @@ class EpisodeBatch:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if ys.min() < 1 or ys.max() > self.k:
             raise ValueError(f"labels must lie in 1..{self.k}")
-        if self.split is not None:
-            s = int(self.split)
-            if s < 1 or self.k * s >= m:
-                raise ValueError(f"support size s={s} requires k*s < m={m}")
-            if (m - self.k * s) % self.k != 0:
-                raise ValueError(f"m={m} must equal k*(s+q) for integer q >= 1")
+        if self.shape is not None and m != self.shape.m(self.k):
+            raise ValueError(f"m={m} must equal k*(s+q)={self.shape.m(self.k)}")
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -205,7 +213,7 @@ class EpisodeBatch:
         return self.xs.shape[1]
 
     def _cut(self) -> Optional[int]:
-        return None if self.split is None else self.k * self.split
+        return None if self.shape is None else self.k * self.shape.s
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys) of every episode's support portion; everything if unsplit."""
@@ -233,10 +241,10 @@ class TaskSpec:
             raise ValueError("class_probs must have one entry per prototype")
         if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("class_probs must be nonnegative and sum to 1")
-        sigma = max(float(self.noise_sigma), MIN_NOISE_SIGMA)
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
+            raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         object.__setattr__(self, "prototypes", protos)
         object.__setattr__(self, "class_probs", probs)
-        object.__setattr__(self, "noise_sigma", sigma)
 
     @property
     def k(self) -> int:
@@ -245,22 +253,6 @@ class TaskSpec:
     @property
     def d_raw(self) -> int:
         return self.prototypes.shape[1]
-
-
-@dataclass(frozen=True)
-class EpisodeShape:
-    """A k-way s-shot episode: s support and q query points per class,
-    so m = k*(s+q). Unpacks as ``s, q = shape``."""
-
-    s: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.q < 1:
-            raise ValueError(f"s and q must be >= 1, got s={self.s}, q={self.q}")
-
-    def __iter__(self):
-        return iter((self.s, self.q))
 
 
 @dataclass(frozen=True)
@@ -297,12 +289,6 @@ def _draw_tasks(env: EnvironmentSpec, states: Sequence[dict]) -> tuple[np.ndarra
             probs[l] = p / p.sum()
     protos *= env.prototype_scale
     return protos, probs
-
-
-def _kway_labels(k: int, s: int, q: int) -> np.ndarray:
-    """Labels of a k-way episode: s then q per class, each block class-major."""
-    classes = np.arange(1, k + 1)
-    return np.concatenate([np.repeat(classes, s), np.repeat(classes, q)])
 
 
 def _draw_episodes(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
@@ -359,10 +345,10 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
     """
     if task.k != k:
         raise ValueError(f"task has {task.k} classes, expected {k}")
-    s, q = EpisodeShape(s, q)
+    shape = EpisodeShape(s, q)
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma,
-                            k * (s + q), _kway_labels(k, s, q), _one_stream(seed))
-    return EpisodeBatch(xs, ys, k, s)
+                            shape.m(k), shape.labels(k), _one_stream(seed))
+    return EpisodeBatch(xs, ys, k, shape)
 
 
 # One episode per task: its size m, and (s, q) for a k-way s-shot
@@ -391,9 +377,8 @@ def sample_episode_batches(
     for m, shape in plan:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if shape is not None and m != env.k * (shape.s + shape.q):
-            raise ValueError(f"m={m} must equal k*(s+q)={env.k * (shape.s + shape.q)}")
-    sigma = max(float(env.noise_sigma), MIN_NOISE_SIGMA)  # as TaskSpec clamps it
+        if shape is not None and m != shape.m(env.k):
+            raise ValueError(f"m={m} must equal k*(s+q)={shape.m(env.k)}")
     units = _child_seeds(int(seed), np.arange(count, dtype=np.uint64))
     seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
     states = _stream_states(seeds.ravel())
@@ -401,9 +386,9 @@ def sample_episode_batches(
     protos, probs = _draw_tasks(env, streams[0])
     batches = []
     for i, (m, shape) in enumerate(plan):
-        labels = None if shape is None else _kway_labels(env.k, *shape)
-        xs, ys = _draw_episodes(protos, probs, sigma, m, labels, streams[i + 1])
-        batches.append(EpisodeBatch(xs, ys, env.k, None if shape is None else shape.s))
+        labels = None if shape is None else shape.labels(env.k)
+        xs, ys = _draw_episodes(protos, probs, env.noise_sigma, m, labels, streams[i + 1])
+        batches.append(EpisodeBatch(xs, ys, env.k, shape))
     return tuple(batches)
 
 

@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from .bounds import (
+    BOUND_KINDS,
     BoundInputs,
     covering_transfer_bound,
     gaussian_transfer_bound,
@@ -55,8 +56,6 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
-# The transfer bounds each trial evaluates, in results CSV column order.
-BOUND_KINDS = ("vc", "gaussian", "covering", "surrogate")
 
 # Run-summary metrics a sweep row reports, in sweep CSV column order.
 SWEEP_METRICS = (
@@ -106,11 +105,8 @@ def _from_json_value(tp, value, where: str):
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where} must be a JSON array, got {value!r}")
-        args = get_args(tp)
-        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
-        if len(value) != len(types):
-            raise ValueError(f"{where} needs {len(types)} items, got {len(value)}")
-        return tuple(_from_json_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+        item = get_args(tp)[0]  # every tuple field is tuple[X, ...]
+        return tuple(_from_json_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if is_dataclass(tp):
         return _from_json(tp, value)
     if isinstance(value, bool) != (tp is bool):
@@ -189,12 +185,10 @@ class ExperimentConfig:
         if self.environment.k != self.bound.k:
             raise ValueError("environment.k and bound.k must agree")
         if self.episode_shape is not None:
-            s, q = self.episode_shape
-            object.__setattr__(self, "episode_shape", EpisodeShape(s, q))  # coerce an (s, q) pair
-            if self.bound.m != self.bound.k * (s + q):
-                raise ValueError(
-                    f"bound.m={self.bound.m} must equal k*(s+q)={self.bound.k * (s + q)}"
-                )
+            shape = EpisodeShape(*self.episode_shape)  # coerce an (s, q) pair
+            object.__setattr__(self, "episode_shape", shape)
+            if self.bound.m != shape.m(self.bound.k):
+                raise ValueError(f"bound.m={self.bound.m} must equal k*(s+q)={shape.m(self.bound.k)}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -293,8 +287,8 @@ def query_split_accuracy(
 ) -> tuple[float, float]:
     """Mean 0-1 accuracy on the query split over fresh test episodes,
     fitted and scored as one batch."""
-    s, q = shape
-    batch = sample_meta_sample(env, episodes, env.k * (s + q), seed, shape)
+    shape = EpisodeShape(*shape)  # an (s, q) pair works too
+    batch = sample_meta_sample(env, episodes, shape.m(env.k), seed, shape)
     scorer = require_fitted(base_learner(batch, phi))
     qx, qy = batch.query()
     accs = (scorer.scores_matrix(qx).argmax(axis=-1) + 1 == qy).mean(axis=-1)
@@ -530,9 +524,8 @@ def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> Experiment
     # axis s
     if config.episode_shape is None:
         raise ValueError("axis s requires an episode shape in the config")
-    q = config.episode_shape.q
-    m = config.bound.k * (value + q)
-    return replace(config, episode_shape=(value, q), bound=replace(config.bound, m=m))
+    shape = EpisodeShape(value, config.episode_shape.q)
+    return replace(config, episode_shape=shape, bound=replace(config.bound, m=shape.m(config.bound.k)))
 
 
 def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[dict]:

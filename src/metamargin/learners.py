@@ -267,8 +267,6 @@ def linear_multimargin_learn(
     ``failed``.
     """
     _check_linear(steps, lam, step_size, b)
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
     if batch.k < 2:
         raise ValueError("linear learner needs k >= 2")
     xs, ys = batch.support()

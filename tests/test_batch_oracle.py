@@ -48,7 +48,7 @@ FAMILY = FeatureFamily(maps=(
 
 def episodes(batch):
     """Each episode of the batch as a batch of one."""
-    return [EpisodeBatch(batch.xs[l:l + 1], batch.ys[l:l + 1], batch.k, batch.split)
+    return [EpisodeBatch(batch.xs[l:l + 1], batch.ys[l:l + 1], batch.k, batch.shape)
             for l in range(batch.n)]
 
 
@@ -279,7 +279,7 @@ def test_stacked_sampler_is_bit_identical(balanced):
         for batch, episode, (xs, ys) in zip(batches, episodes, expected):
             assert np.array_equal(batch.xs[l], xs) and np.array_equal(batch.ys[l], ys)
             assert np.array_equal(episode.xs[0], xs) and np.array_equal(episode.ys[0], ys)
-            assert batch.split == episode.split
+            assert batch.shape == episode.shape
 
 
 # -- harness ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from metamargin.core import (
     _stream_states,
     EnvironmentSpec,
     EpisodeBatch,
+    EpisodeShape,
     SeedPolicy,
     TaskSpec,
     sample_episode,
@@ -82,9 +83,9 @@ def test_seed_outside_64_bits_rejected(seed):
         sample_kway_sshot_episode(task, 5, 1, 1, seed)
 
 
-def one_episode(xs, ys, k, split=None):
+def one_episode(xs, ys, k, shape=None):
     """The episode (xs (m, d), ys (m,)) as a batch of one."""
-    return EpisodeBatch(np.asarray(xs)[None], np.asarray(ys)[None], k, split)
+    return EpisodeBatch(np.asarray(xs)[None], np.asarray(ys)[None], k, shape)
 
 
 class TestTypes:
@@ -101,12 +102,15 @@ class TestTypes:
 
     def test_episode_split_invariants(self):
         xs, ys = np.zeros((4, 2)), np.array([1, 2, 1, 2])
-        ep = one_episode(xs, ys, 2, split=1)
-        assert ep.m == 4 and ep.split == 1
+        ep = one_episode(xs, ys, 2, shape=EpisodeShape(1, 1))
+        assert ep.m == 4 and ep.shape == EpisodeShape(1, 1)
+        assert np.array_equal(ep.support()[1], [[1, 2]]) and np.array_equal(ep.query()[1], [[1, 2]])
         with pytest.raises(ValueError):
-            one_episode(xs, ys, 2, split=2)  # k*s == m leaves no query
-        with pytest.raises(ValueError):
-            one_episode(np.zeros((5, 2)), np.array([1, 2, 1, 2, 1]), 2, split=1)
+            EpisodeShape(2, 0)  # k*s == m leaves no query
+        with pytest.raises(ValueError, match=r"m=4 must equal k\*\(s\+q\)=6"):
+            one_episode(xs, ys, 2, shape=EpisodeShape(2, 1))
+        with pytest.raises(ValueError, match=r"m=5 must equal k\*\(s\+q\)=4"):
+            one_episode(np.zeros((5, 2)), np.array([1, 2, 1, 2, 1]), 2, shape=EpisodeShape(1, 1))
 
     def test_environment_json_field_names(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -119,6 +123,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             TaskSpec(prototypes=np.zeros((2, 3)), noise_sigma=1.0,
                      class_probs=np.array([0.6, 0.5]))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_task_spec_rejects_bad_noise_sigma(self, sigma):
+        # as EnvironmentSpec does: no clamp to a tiny positive sigma
+        with pytest.raises(ValueError, match="noise_sigma must be finite and > 0"):
+            TaskSpec(prototypes=np.zeros((2, 3)), noise_sigma=sigma, class_probs=np.array([0.5, 0.5]))
 
 
 class TestSampleTask:
@@ -185,12 +195,12 @@ class TestKwayShotEpisode:
         # k=5, q=15 with s=5 gives the 100-point episode
         task = sample_task(ENV, 7)
         ep = sample_kway_sshot_episode(task, 5, 5, 15, 1)
-        assert ep.xs.shape == (1, 100, 16) and ep.m == 100 and ep.split == 5
+        assert ep.xs.shape == (1, 100, 16) and ep.m == 100 and ep.shape == EpisodeShape(5, 15)
 
     def test_smallest_instance(self):
         env = EnvironmentSpec(d_raw=2, k=2, prototype_scale=1.0, noise_sigma=1.0)
         ep = sample_kway_sshot_episode(sample_task(env, 1), 2, 1, 1, 2)
-        assert ep.m == 4 and ep.split == 1
+        assert ep.m == 4 and ep.shape == EpisodeShape(1, 1)
 
     def test_exact_per_class_counts(self):
         task = sample_task(ENV, 3)
@@ -200,6 +210,16 @@ class TestKwayShotEpisode:
             assert np.all(counts == 7)
             sup_counts = np.bincount(ep.support()[1][0], minlength=6)[1:]
             assert np.all(sup_counts == 3)
+            assert np.array_equal(ep.ys[0], EpisodeShape(3, 4).labels(5))
+        # EpisodeShape's own m and labels: s then q per class, class-major
+        for k, (s, q), labels in [
+            (1, (1, 1), [1, 1]),
+            (2, (1, 2), [1, 2, 1, 1, 2, 2]),
+            (3, (2, 1), [1, 1, 2, 2, 3, 3, 1, 2, 3]),
+        ]:
+            shape = EpisodeShape(s, q)
+            assert shape.m(k) == len(labels) == k * (s + q)
+            assert shape.labels(k).tolist() == labels
 
     def test_invalid_sq_rejected(self):
         task = sample_task(ENV, 3)
@@ -225,7 +245,7 @@ class TestMetaSample:
 
     def test_shape_episodes(self):
         ms = sample_meta_sample(ENV, 3, 100, 8, shape=(5, 15))
-        assert ms.n == 3 and ms.split == 5
+        assert ms.n == 3 and ms.shape == EpisodeShape(5, 15)
         with pytest.raises(ValueError):
             sample_meta_sample(ENV, 3, 99, 8, shape=(5, 15))
 

@@ -316,7 +316,7 @@ class TestPairedBoundInequalities:
             chosen = meta_erm_select(meta, fam, self.LEARNER, 1.0).chosen
             margin_avg = multi_avg = 0.0
             for l in range(meta.n):
-                ep = EpisodeBatch(meta.xs[l:l + 1], meta.ys[l:l + 1], meta.k, meta.split)
+                ep = EpisodeBatch(meta.xs[l:l + 1], meta.ys[l:l + 1], meta.k, meta.shape)
                 margin, multi = episode_losses(self.LEARNER(ep, chosen).scores_matrix(ep.xs), ep.ys, 1.0)
                 margin_avg += margin[0]
                 multi_avg += multi[0]

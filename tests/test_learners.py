@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from metamargin.core import EnvironmentSpec, EpisodeBatch, sample_meta_sample
+from metamargin.core import EnvironmentSpec, EpisodeBatch, EpisodeShape, sample_meta_sample
 from metamargin.learners import (
     FeatureFamily,
     NumericError,
@@ -98,7 +98,7 @@ class TestNearestCentroid:
 
     def test_trains_on_support_only(self):
         xs = np.array([[-1.0], [1.0], [5.0], [-5.0]])
-        ep = EpisodeBatch(xs[None], np.array([[1, 2, 1, 2]]), 2, split=1)
+        ep = EpisodeBatch(xs[None], np.array([[1, 2, 1, 2]]), 2, shape=EpisodeShape(1, 1))
         phi = make_feature_family(1, 1, 1, "identity", 0).maps[0]
         scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
         assert np.array_equal(scorer.centroids, np.array([[-1.0], [1.0]]))
