@@ -24,8 +24,11 @@ import numpy as np
 from .core import EpisodeBatch
 from .learners import BaseLearner, FeatureFamily, require_fitted
 
-# Keep one MC noise chunk below ~64 MB of float64 entries.
+# Monte Carlo draws are taken 2**23 // n_points at a time: this chunk
+# width fixes which normals or signs feed which draw, not memory.
 _CHUNK_ELEMENTS = 1 << 23
+# Each chunk's noise is filled this many float64 entries (4 MB) at a time.
+_NOISE_SLAB = 1 << 19
 # Rademacher signs are drawn this many 32-bit values (4 MB) at a time.
 _SIGN_SLAB = 1 << 20
 _SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pass
@@ -205,17 +208,27 @@ def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: b
     n_pts = A.n_points
     rng = np.random.default_rng(seed)
     chunk = min(draws, max(1, _CHUNK_ELEMENTS // n_pts))
-    buffer = np.empty(n_pts * chunk)  # every chunk fills a C-contiguous prefix, as out= needs
+    # a chunk's (n_pts, take) noise is point-major, so `rows` points at a
+    # time are the next contiguous run of the stream
+    rows = min(n_pts, max(1, _NOISE_SLAB // chunk))
+    buffer = np.empty(rows * chunk)  # every slab fills a C-contiguous prefix, as out= needs
     sups = np.empty(draws)
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
-        noise = buffer[:n_pts * take]
-        if gaussian:
-            rng.standard_normal(out=noise)
-        else:
-            _fill_signs(rng, noise)
-        sups[done:done + take] = (vals @ noise.reshape(n_pts, take)).max(axis=0)
+        for p0 in range(0, n_pts, rows):
+            p1 = min(p0 + rows, n_pts)
+            slab = buffer[:(p1 - p0) * take]
+            if gaussian:
+                rng.standard_normal(out=slab)
+            else:
+                _fill_signs(rng, slab)
+            part = vals[:, p0:p1] @ slab.reshape(p1 - p0, take)
+            if p0 == 0:
+                acc = part
+            else:
+                acc += part
+        sups[done:done + take] = acc.max(axis=0)
         done += take
     sups *= 2.0 / n_pts
     mean = float(sups.mean())

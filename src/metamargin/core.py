@@ -197,8 +197,11 @@ class EpisodeBatch:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if ys.min() < 1 or ys.max() > self.k:
             raise ValueError(f"labels must lie in 1..{self.k}")
-        if self.shape is not None and m != self.shape.m(self.k):
-            raise ValueError(f"m={m} must equal k*(s+q)={self.shape.m(self.k)}")
+        if self.shape is not None:
+            s, q = self.shape  # an (s, q) pair works too
+            object.__setattr__(self, "shape", EpisodeShape(s, q))
+            if m != self.shape.m(self.k):
+                raise ValueError(f"m={m} must equal k*(s+q)={self.shape.m(self.k)}")
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)

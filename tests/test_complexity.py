@@ -208,29 +208,41 @@ class TestMatrixCsv:
         assert "error" in capsys.readouterr().err
 
 
-# Exact results: any change to the random stream, the chunk shapes or
-# the matmul moves them. PINNED_WIDE has 5,000 columns, so 2,000 draws
-# take two chunks, the second partial. Its matmul sums 5,000 products in
-# an order that depends on the BLAS thread count, so its results are
-# compared with a reference that repeats the stream, the chunk shapes and
-# the matmul; PINNED_EYE's are recorded.
+def chunked_reference(A, draws, seed, estimator, rows=None):
+    """(mean, std_error) of ``estimator(A, draws, seed)`` written out: noise
+    from default_rng(seed) in chunks of 2**23 // n_points draws, each chunk
+    point-major and taken in one matmul, or, given ``rows``, drawn and
+    multiplied ``rows`` points at a time with the products summed in order."""
+    vals = A.values
+    n_pts = A.n_points
+    chunk = min(draws, max(1, (1 << 23) // n_pts))
+    rows = rows or n_pts
+    rng = np.random.default_rng(seed)
+    sups = []
+    for done in range(0, draws, chunk):
+        take = min(chunk, draws - done)
+        acc = 0.0
+        for p0 in range(0, n_pts, rows):
+            size = (min(p0 + rows, n_pts) - p0, take)
+            if estimator is gaussian_complexity_mc:
+                noise = rng.standard_normal(size=size)
+            else:
+                noise = rng.integers(0, 2, size=size) * 2.0 - 1.0
+            acc = acc + vals[:, p0:p0 + rows] @ noise
+        sups.append(acc.max(axis=0))
+    sups = np.concatenate(sups) * (2.0 / n_pts)
+    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(draws))
+
+
+# Exact results: any change to the random stream, the chunk or slab
+# shapes or the matmuls moves them. PINNED_WIDE has 5,000 columns, so
+# 2,000 draws take two chunks, the second partial, and each chunk is
+# filled in slabs of 312 points. Its matmuls sum their products in an
+# order that depends on the BLAS thread count, so its results are
+# compared with a reference that repeats the stream, the chunk and slab
+# shapes and the matmuls; PINNED_EYE's are recorded.
 PINNED_WIDE = FunctionValueMatrix(values=np.random.default_rng(2024).uniform(-1, 1, size=(6, 5000)), b=1.0)
 PINNED_EYE = FunctionValueMatrix(values=np.eye(2), b=1.0)
-
-
-def pinned_wide_reference(estimator):
-    """(mean, std_error) of ``estimator(PINNED_WIDE, 2000, 11)``: noise from
-    default_rng(11) in chunks of 1,677 then 323 draws, one matmul each."""
-    rng = np.random.default_rng(11)
-    sups = []
-    for take in (1677, 323):
-        if estimator is gaussian_complexity_mc:
-            noise = rng.standard_normal(size=(5000, take))
-        else:
-            noise = rng.integers(0, 2, size=(5000, take)) * 2.0 - 1.0
-        sups.append((PINNED_WIDE.values @ noise).max(axis=0))
-    sups = np.concatenate(sups) * (2.0 / 5000)
-    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(2000))
 
 
 @pytest.mark.parametrize("A, estimator, mean, std_error", [
@@ -241,21 +253,18 @@ def pinned_wide_reference(estimator):
 ])
 def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
     if A is PINNED_WIDE:
-        mean, std_error = pinned_wide_reference(estimator)
+        mean, std_error = chunked_reference(PINNED_WIDE, 2000, 11, estimator, rows=312)
     est = estimator(A, 2000, 11)
     assert (est.mean, est.std_error, est.draws) == (mean, std_error, 2000)
 
 
 def test_rademacher_stream_with_odd_chunks():
     # 5,001 columns give chunks of 1,677 and 323 draws, each an odd
-    # number of signs, so the second chunk starts on the generator's
-    # buffered half-word
+    # number of signs, so the second chunk, and each of its slabs of an
+    # even number of signs, starts on the generator's buffered half-word
     A = FunctionValueMatrix(values=np.random.default_rng(2025).uniform(-1, 1, size=(3, 5001)), b=1.0)
-    rng = np.random.default_rng(11)
-    sups = np.concatenate([(A.values @ (rng.integers(0, 2, size=(5001, take)) * 2.0 - 1.0)).max(axis=0)
-                           for take in (1677, 323)]) * (2.0 / 5001)
     est = rademacher_complexity_mc(A, 2000, 11)
-    assert (est.mean, est.std_error) == (float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(2000)))
+    assert (est.mean, est.std_error) == chunked_reference(A, 2000, 11, rademacher_complexity_mc, rows=312)
 
 
 def test_rademacher_memory_stays_within_one_noise_chunk():
@@ -267,6 +276,45 @@ def test_rademacher_memory_stays_within_one_noise_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 8 * (1 << 23) + (16 << 20)
+
+
+MC_ESTIMATORS = [gaussian_complexity_mc, rademacher_complexity_mc]
+
+
+@pytest.mark.parametrize("estimator", MC_ESTIMATORS)
+@pytest.mark.parametrize("shape", [(40, 100), (320, 100)])
+def test_one_slab_chunks_match_one_matmul_exactly(estimator, shape):
+    # the shapes of a task restriction and of the benchmark's tall
+    # matrix: each chunk fits in one slab, so its noise is one matmul
+    A = FunctionValueMatrix(values=np.random.default_rng(5).uniform(-1, 1, size=shape), b=1.0)
+    est = estimator(A, 2000, 3)
+    assert (est.mean, est.std_error, est.draws) == (*chunked_reference(A, 2000, 3, estimator), 2000)
+
+
+@pytest.mark.parametrize("estimator", MC_ESTIMATORS)
+def test_multi_slab_chunks_match_one_matmul(estimator):
+    # 5,003 points give chunks of 1,676 then 324 draws and slabs of 312
+    # points, the last of 11
+    A = FunctionValueMatrix(values=np.random.default_rng(6).uniform(-1, 1, size=(7, 5003)), b=1.0)
+    est = estimator(A, 2000, 4)
+    mean, std_error = chunked_reference(A, 2000, 4, estimator)
+    assert est.draws == 2000
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("estimator", MC_ESTIMATORS)
+def test_monte_carlo_memory_stays_within_one_noise_slab(estimator):
+    # one 4 MB slab, the 32-bit words of its signs and two (functions,
+    # draws) partial sums; a whole noise chunk would be about 67 MB
+    A = FunctionValueMatrix(values=np.random.default_rng(3).uniform(-1, 1, size=(40, 5000)), b=1.0)
+    tracemalloc.start()
+    try:
+        estimator(A, 2000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 class TestGaussianComplexity:

@@ -112,6 +112,16 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"m=5 must equal k\*\(s\+q\)=4"):
             one_episode(np.zeros((5, 2)), np.array([1, 2, 1, 2, 1]), 2, shape=EpisodeShape(1, 1))
 
+    def test_episode_shape_may_be_an_s_q_pair(self):
+        xs, ys = np.zeros((4, 2)), np.array([1, 2, 1, 2])
+        pair, shape = one_episode(xs, ys, 2, shape=(1, 1)), one_episode(xs, ys, 2, shape=EpisodeShape(1, 1))
+        assert pair.shape == shape.shape
+        assert np.array_equal(pair.xs, shape.xs) and np.array_equal(pair.ys, shape.ys)
+        assert np.array_equal(pair.support()[0], shape.support()[0])
+        for bad in [(1,), (0, 1)]:
+            with pytest.raises(ValueError):
+                one_episode(xs, ys, 2, shape=bad)
+
     def test_environment_json_field_names(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
         config = replace(ExperimentConfig.from_json(json.loads(path.read_text())), environment=ENV)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -257,6 +258,19 @@ class TestResultCsv:
         )
         assert SWEEP_CSV_HEADER == expected
         assert open(path).read() == expected + "\n"
+
+
+    def test_default_run_csv_is_pinned(self, tmp_path):
+        # Golden output: the results CSV of configs/default.json at 3 trials,
+        # seed 20240801 and no timing, by sha256, as the code gave it
+        # before this test was added. A change that moves the digest must
+        # explain every moved cell.
+        config = ExperimentConfig.from_json(json.loads((CONFIGS / "default.json").read_text()))
+        rows, _ = bound_validity_experiment(replace(config, trials=3, record_timing=False, seed=20240801))
+        path = tmp_path / "results.csv"
+        write_result_rows(rows, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d3da4efe8a79531be28ce54dccbd390c32658275afd23d9bb6a64efeed3cac45"
 
 
 class TestSweep:
