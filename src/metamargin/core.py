@@ -164,6 +164,13 @@ class EpisodeShape:
         return np.concatenate([np.repeat(classes, self.s), np.repeat(classes, self.q)])
 
 
+def _episode_shape(shape) -> EpisodeShape:
+    """``shape`` as an EpisodeShape; an (s, q) pair works too, and a pair
+    of the wrong length raises ValueError."""
+    s, q = shape
+    return EpisodeShape(s, q)
+
+
 @dataclass(frozen=True, eq=False)
 class EpisodeBatch:
     """n episodes of one shape, stacked along a leading episode axis.
@@ -198,8 +205,7 @@ class EpisodeBatch:
         if ys.min() < 1 or ys.max() > self.k:
             raise ValueError(f"labels must lie in 1..{self.k}")
         if self.shape is not None:
-            s, q = self.shape  # an (s, q) pair works too
-            object.__setattr__(self, "shape", EpisodeShape(s, q))
+            object.__setattr__(self, "shape", _episode_shape(self.shape))
             if m != self.shape.m(self.k):
                 raise ValueError(f"m={m} must equal k*(s+q)={self.shape.m(self.k)}")
         xs.setflags(write=False)
@@ -364,25 +370,30 @@ def sample_episode_batches(
     count: int,
     seed: int,
     plan: Sequence[EpisodePlan],
+    first: int = 0,
 ) -> tuple[EpisodeBatch, ...]:
     """Draw ``count`` independent tasks and, from each, one episode per
     plan entry; returns one batch per plan entry.
 
-    Unit l derives its seeds from child l of ``seed``: the task from
-    child 0, the episode of plan entry i from child i+1. Each batch is
-    bit-identical to stacking ``sample_episode`` or
+    Unit l derives its seeds from child ``first + l`` of ``seed``: the
+    task from child 0, the episode of plan entry i from child i+1. So
+    the units ``[first, first + count)`` are rows ``first:first + count``
+    of one draw with ``first=0``, and a long draw can be taken in blocks.
+    Each batch is bit-identical to stacking ``sample_episode`` or
     ``sample_kway_sshot_episode`` on ``sample_task`` with those seeds,
     but no per-task or per-episode object is built.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    plan = [(m, None if shape is None else EpisodeShape(*shape)) for m, shape in plan]
+    if first < 0:
+        raise ValueError(f"first must be >= 0, got {first}")
+    plan = [(m, None if shape is None else _episode_shape(shape)) for m, shape in plan]
     for m, shape in plan:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if shape is not None and m != shape.m(env.k):
             raise ValueError(f"m={m} must equal k*(s+q)={shape.m(env.k)}")
-    units = _child_seeds(int(seed), np.arange(count, dtype=np.uint64))
+    units = _child_seeds(int(seed), np.arange(first, first + count, dtype=np.uint64))
     seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
     states = _stream_states(seeds.ravel())
     streams = [states[j * count:(j + 1) * count] for j in range(len(plan) + 1)]

@@ -39,7 +39,14 @@ from .complexity import (
     episode_restrictions,
     gaussian_complexity_mc,
 )
-from .core import EnvironmentSpec, EpisodeShape, SeedPolicy, sample_episode_batches, sample_meta_sample
+from .core import (
+    EnvironmentSpec,
+    EpisodeShape,
+    SeedPolicy,
+    _episode_shape,
+    sample_episode_batches,
+    sample_meta_sample,
+)
 from .learners import (
     BaseLearner,
     FeatureFamily,
@@ -56,6 +63,10 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
+# Query-split test episodes are sampled, fitted and scored in blocks of
+# this many float64 input values (1.28 MB): 100 default-shaped episodes
+# (m = 100, d_raw = 16); blocks of 75 to 200 episodes time alike.
+_QUERY_BLOCK_VALUES = 160_000
 
 # Run-summary metrics a sweep row reports, in sweep CSV column order.
 SWEEP_METRICS = (
@@ -185,7 +196,7 @@ class ExperimentConfig:
         if self.environment.k != self.bound.k:
             raise ValueError("environment.k and bound.k must agree")
         if self.episode_shape is not None:
-            shape = EpisodeShape(*self.episode_shape)  # coerce an (s, q) pair
+            shape = _episode_shape(self.episode_shape)  # an (s, q) pair works too
             object.__setattr__(self, "episode_shape", shape)
             if self.bound.m != shape.m(self.bound.k):
                 raise ValueError(f"bound.m={self.bound.m} must equal k*(s+q)={shape.m(self.bound.k)}")
@@ -285,13 +296,27 @@ def query_split_accuracy(
     episodes: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Mean 0-1 accuracy on the query split over fresh test episodes,
-    fitted and scored as one batch."""
-    shape = EpisodeShape(*shape)  # an (s, q) pair works too
-    batch = sample_meta_sample(env, episodes, shape.m(env.k), seed, shape)
-    scorer = require_fitted(base_learner(batch, phi))
-    qx, qy = batch.query()
-    accs = (scorer.scores_matrix(qx).argmax(axis=-1) + 1 == qy).mean(axis=-1)
+    """Mean 0-1 accuracy on the query split over ``episodes`` fresh test
+    episodes, and its standard error.
+
+    The episodes are the units of one ``sample_episode_batches`` draw
+    from ``seed``, taken in blocks of at most ``_QUERY_BLOCK_VALUES``
+    input values (at least one episode each), so memory stays bounded
+    whatever the episode count. Each block is fitted and scored as one
+    batch; an episode's accuracy does not depend on its block.
+    """
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    shape = _episode_shape(shape)
+    m = shape.m(env.k)
+    block = max(1, _QUERY_BLOCK_VALUES // (m * env.d_raw))
+    accs = np.empty(episodes)
+    for a in range(0, episodes, block):
+        c = min(block, episodes - a)
+        (batch,) = sample_episode_batches(env, c, seed, [(m, shape)], first=a)
+        qx, qy = batch.query()
+        scores = require_fitted(base_learner(batch, phi)).scores_matrix(qx)
+        accs[a:a + c] = (scores.argmax(axis=-1) + 1 == qy).mean(axis=-1)
     se = float(accs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return float(accs.mean()), se
 

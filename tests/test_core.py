@@ -16,11 +16,13 @@ from metamargin.core import (
     SeedPolicy,
     TaskSpec,
     sample_episode,
+    sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
     sample_task,
 )
-from metamargin.harness import ExperimentConfig
+from metamargin.harness import ExperimentConfig, query_split_accuracy
+from metamargin.learners import FeatureMap, nearest_centroid_learn
 
 ENV = EnvironmentSpec(d_raw=16, k=5, prototype_scale=1.0, noise_sigma=1.0)
 
@@ -118,9 +120,22 @@ class TestTypes:
         assert pair.shape == shape.shape
         assert np.array_equal(pair.xs, shape.xs) and np.array_equal(pair.ys, shape.ys)
         assert np.array_equal(pair.support()[0], shape.support()[0])
-        for bad in [(1,), (0, 1)]:
+        for bad in [(1,), (1, 2, 3), (0, 1)]:
             with pytest.raises(ValueError):
                 one_episode(xs, ys, 2, shape=bad)
+
+    @pytest.mark.parametrize("bad", [(1,), (1, 2, 3)])
+    def test_malformed_s_q_pair_is_a_value_error_everywhere(self, bad):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        config = ExperimentConfig.from_json(json.loads(path.read_text()))
+        phi = FeatureMap(id="identity", kind="identity", d=ENV.d_raw)
+        learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
+        with pytest.raises(ValueError):
+            replace(config, episode_shape=bad)
+        with pytest.raises(ValueError):
+            sample_episode_batches(ENV, 2, 0, [(100, bad)])
+        with pytest.raises(ValueError):
+            query_split_accuracy(ENV, phi, learner, bad, 4, 0)
 
     def test_environment_json_field_names(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -252,6 +267,18 @@ class TestMetaSample:
     def test_structural_homogeneity(self):
         ms = sample_meta_sample(ENV, 50, 100, 8)
         assert ms.xs.shape == (50, 100, ENV.d_raw) and ms.ys.shape == (50, 100) and ms.k == 5
+
+    @pytest.mark.parametrize("plan", [[(20, (1, 3))], [(9, None), (4, None)]])
+    @pytest.mark.parametrize("first,count", [(0, 4), (3, 1), (5, 6)])
+    def test_a_block_is_rows_of_one_draw(self, plan, first, count):
+        whole = sample_episode_batches(ENV, 11, 6, plan)
+        block = sample_episode_batches(ENV, count, 6, plan, first=first)
+        for b, w in zip(block, whole, strict=True):
+            assert np.array_equal(b.xs, w.xs[first:first + count])
+            assert np.array_equal(b.ys, w.ys[first:first + count])
+            assert b.shape == w.shape
+        with pytest.raises(ValueError, match="first"):
+            sample_episode_batches(ENV, count, 6, plan, first=-1)
 
     def test_shape_episodes(self):
         ms = sample_meta_sample(ENV, 3, 100, 8, shape=(5, 15))

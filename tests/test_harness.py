@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -418,6 +419,43 @@ def test_query_split_accuracy_perfect_on_separated_env():
     learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
     acc, se = query_split_accuracy(env, phi, learner, (2, 3), 20, seed=3)
     assert acc == 1.0 and se == 0.0
+
+
+def test_query_split_accuracy_needs_an_episode():
+    # a loop over zero blocks would return a NaN mean
+    phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
+    learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
+    with pytest.raises(ValueError):
+        query_split_accuracy(ENV, phi, learner, (2, 3), 0, seed=3)
+
+
+@pytest.mark.parametrize("kind", ["identity", "random_relu"])
+def test_query_split_accuracy_does_not_depend_on_block_size(monkeypatch, kind):
+    phi = make_feature_family(8, 8, 1, kind, 4).maps[0]
+    learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
+    values_per_episode = 15 * ENV.d_raw  # m = k*(s+q) = 15
+    results = []
+    for block in (1, 7, 23, 40):
+        monkeypatch.setattr(harness, "_QUERY_BLOCK_VALUES", block * values_per_episode)
+        results.append(query_split_accuracy(ENV, phi, learner, (2, 3), 23, seed=9))
+    assert results[1:] == results[:-1]
+
+
+def test_query_split_peak_memory_does_not_grow_with_episodes():
+    config = ExperimentConfig.from_json(json.loads((CONFIGS / "default.json").read_text()))
+    env = config.environment
+    phi = build_family(config.family, env.d_raw, 0).maps[1]
+    learner = make_base_learner(config.learner, config.bound.rho, config.bound.b)
+
+    def peak(episodes):
+        tracemalloc.start()
+        try:
+            query_split_accuracy(env, phi, learner, config.episode_shape, episodes, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) <= 1.5 * peak(200)
 
 
 def test_make_base_learner_kinds():
