@@ -13,9 +13,17 @@ All logarithms are natural.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
+import json
 import math
+import os
+import stat
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +40,11 @@ _NOISE_SLAB = 1 << 19
 # Rademacher signs are drawn this many 32-bit values (4 MB) at a time.
 _SIGN_SLAB = 1 << 20
 _SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pass
+# Personalizes the digest that keys a parsed matrix CSV's sidecar; change it
+# whenever from_csv would read the same bytes differently.
+_SIDECAR_TAG = b"metamargin-csv1"
+# Whatever is wrong with a sidecar (missing, truncated, foreign), the CSV is parsed instead.
+_SIDECAR_ERRORS = (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
 def _csv_label(label: str) -> str:
@@ -81,10 +94,10 @@ class FunctionValueMatrix:
         return self.values.shape[1]
 
     def to_csv(self, path: str) -> None:
-        """Write as CSV: a ``# b=<float>`` header line, then one row per
-        function with its label in the first column. The bytes are those
+        """Write as UTF-8 CSV: a ``# b=<float>`` header line, then one row
+        per function with its label in the first column. The bytes are those
         of ``csv.writer`` given the label and each value's ``repr``."""
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(f"# b={self.b!r}\n")
             labels = self.labels or tuple(f"f{i}" for i in range(self.n_functions))
             for label, row in zip(labels, self.values.tolist()):
@@ -92,15 +105,38 @@ class FunctionValueMatrix:
 
     @classmethod
     def from_csv(cls, path: str) -> "FunctionValueMatrix":
-        """Read what ``to_csv`` writes. Labels use standard CSV quoting,
-        blank lines are skipped, and b and the values are parsed by
-        numpy's reader; a malformed header or body raises ValueError."""
-        with open(path, "r", newline="") as handle:
-            header = handle.readline().strip()
+        """Read what ``to_csv`` writes. The file is UTF-8, labels use
+        standard CSV quoting, blank lines are skipped, and b and the values
+        are parsed by numpy's reader; a malformed header or body raises
+        ValueError.
+
+        The file is read once. A parsed regular file leaves a sidecar
+        ``.<basename>.npz`` beside it, if the directory can be written,
+        keyed by a digest of its bytes: a later read of the same bytes
+        loads the matrix from it instead of parsing, and any other bytes
+        are parsed again and replace it.
+        """
+        with open(path, "rb") as handle:
+            data = handle.read()
+            mode = os.fstat(handle.fileno()).st_mode
+        digest = hashlib.blake2b(data, person=_SIDECAR_TAG).digest()
+        head, name = os.path.split(path)
+        sidecar = os.path.join(head, f".{name}.npz")
+        try:
+            with np.load(sidecar, allow_pickle=False) as cached:
+                if cached["digest"].tobytes() == digest:
+                    return cls(values=cached["values"], b=float(cached["b"]),
+                               labels=tuple(json.loads(str(cached["labels"]))))
+        except _SIDECAR_ERRORS:
+            pass
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        del data  # lines now holds the only reference; it is closed before np.loadtxt runs
+        with lines:
+            header = lines.readline().strip()
             if not header.startswith("# b="):
                 raise ValueError("matrix CSV must start with a '# b=<value>' line")
             text = header[len("# b="):]
-            body = handle.readlines()  # each line keeps its ending, so quoted newlines survive
+            body = lines.readlines()  # each line keeps its ending, so quoted newlines survive
         # parsed like the body; np.loadtxt only warns on an empty value, hence the guard
         b = np.loadtxt([text], delimiter=",", quotechar='"', comments=None, ndmin=1) if text else ()
         if len(b) != 1:
@@ -110,7 +146,30 @@ class FunctionValueMatrix:
             raise ValueError("matrix CSV contains no rows")
         row = np.dtype([("label", object), ("values", np.float64, (len(first) - 1,))])
         table = np.loadtxt(body, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
-        return cls(values=np.ascontiguousarray(table["values"]), b=float(b[0]), labels=tuple(table["label"]))
+        matrix = cls(values=np.ascontiguousarray(table["values"]), b=float(b[0]), labels=tuple(table["label"]))
+        if stat.S_ISREG(mode):
+            _write_sidecar(sidecar, digest, matrix, stat.S_IMODE(mode) & 0o666)
+        return matrix
+
+
+def _write_sidecar(sidecar: str, digest: bytes, matrix: FunctionValueMatrix, mode: int) -> None:
+    """Replace sidecar by matrix under digest, readable by whoever may read
+    the CSV (its read and write bits are mode), or leave it if the directory
+    cannot be written. Labels go in as JSON text, which holds no NUL that
+    a numpy string array would strip."""
+    try:
+        fd, temp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".", dir=os.path.dirname(sidecar) or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            os.fchmod(fd, mode)
+            np.savez(handle, digest=np.frombuffer(digest, dtype=np.uint8), values=matrix.values,
+                     b=np.float64(matrix.b), labels=np.array(json.dumps(list(matrix.labels))))
+        os.replace(temp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
 
 
 @dataclass(frozen=True)
@@ -294,12 +353,16 @@ def greedy_epsilon_cover(A: FunctionValueMatrix, eps: float) -> tuple[list[int],
 
 
 def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
-    """Chaining sum sum_{i=1..J} (alpha_i - alpha_{i+1}) sqrt(ln |T_i|).
+    """Chaining sum sum_{i=1..J} (alpha_i / 2) sqrt(ln |T_i|), J = levels.
 
     alpha_i = L * 2^-i with L the largest normalized row norm, and T_i
-    a greedy cover at scale alpha_i. Greedy covers over-count, so the
-    sum upper-bounds the entropy integral from 0 to L of
-    sqrt(ln N(tau)) dtau; covers of size 1 contribute 0.
+    a greedy cover at scale alpha_i; covers of size 1 contribute 0. This
+    is not an upper bound on the entropy integral from 0 to L of
+    sqrt(ln N(tau)) dtau: it prices [alpha_{i+1}, alpha_i] at the larger
+    scale, where N is smallest, and leaves out [L/2, L] and [0,
+    alpha_{J+1}]. On the rows [1] and [-1] it gives 0.2081, 0.3903 and
+    0.4162 at 1, 4 and 12 levels against sqrt(ln 2) = 0.8326 (ROADMAP
+    item 3).
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -316,6 +379,7 @@ def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
 
 
 def dudley_bound(A: FunctionValueMatrix, levels: int) -> float:
-    """Chaining upper bound on the Gaussian complexity of the rows:
-    (24 / sqrt(M)) times the finite entropy chaining sum."""
+    """Dudley's chaining bound on the Gaussian complexity of the rows:
+    (24 / sqrt(M)) times ``entropy_integral``, so it inherits that sum's
+    under-count."""
     return 24.0 / math.sqrt(A.n_points) * entropy_integral(A, levels)

@@ -105,6 +105,21 @@ class TestEstimateCommand:
         FunctionValueMatrix(values=np.ones((2, 2)), b=1.0).to_csv(path)
         assert main(["estimate", "--input", path, "--estimator", "cover"]) == 2
 
+    def test_a_second_call_on_a_file_skips_the_parse(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "matrix.csv")
+        FunctionValueMatrix(values=np.array([[1.0, -0.0], [0.5, 1e-320]]), b=1.0,
+                            labels=("a,b", "q\"\n\x00")).to_csv(path)
+        argv = ["estimate", "--input", path, "--estimator", "gaussian", "--draws", "50"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def parse(*args, **kwargs):
+            raise AssertionError("the CSV was parsed again")
+
+        monkeypatch.setattr(np, "loadtxt", parse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--estimator", "massart"]) == 2
 

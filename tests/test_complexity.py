@@ -1,7 +1,13 @@
 import csv
+import faulthandler
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,13 +143,13 @@ LABELS = st.one_of(LABEL_TEXT, st.sampled_from(["a,b", 'say "hi"', "two\nlines",
 
 
 @st.composite
-def csv_matrices(draw):
+def csv_matrices(draw, labels=LABELS):
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     b = draw(st.sampled_from([1.0, 2.5, 25.0, 1e-300]))
     cell = st.one_of(st.floats(-b, b, allow_subnormal=True),
                      st.sampled_from([0.0, -0.0, b, -b, 5e-324, -5e-324, 2.2250738585072014e-308]))
     values = np.array(draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n)))
-    labels = draw(st.none() | st.lists(LABELS, min_size=n, max_size=n).map(tuple))
+    labels = draw(st.none() | st.lists(labels, min_size=n, max_size=n).map(tuple))
     return FunctionValueMatrix(values=values, b=b, labels=labels)
 
 
@@ -206,6 +212,123 @@ class TestMatrixCsv:
             FunctionValueMatrix.from_csv(str(path))
         assert main(["estimate", "--input", str(path), "--estimator", "massart"]) == 2
         assert "error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["matrix.csv"]  # a failed parse leaves no sidecar
+
+
+def same_matrix(A, B):
+    """Exact equality, down to the bits of every value."""
+    return (A.values.shape == B.values.shape
+            and np.array_equal(A.values.view(np.int64), B.values.view(np.int64))
+            and A.b == B.b and A.labels == B.labels)
+
+
+def read_without_parsing(path):
+    """from_csv with np.loadtxt made to fail: only a sidecar hit returns."""
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+        return FunctionValueMatrix.from_csv(path)
+
+
+SIDECAR_LABELS = st.one_of(LABELS, st.sampled_from(["\x00", "nul\x00", '\x00a,"b"\n\x00']))
+SIDECAR_MATRIX = FunctionValueMatrix(values=np.array([[0.25, -0.0], [5e-324, -1.0]]), b=1.0,
+                                     labels=("y=1|phi=a", "y=2|phi=a"))
+
+
+class TestMatrixCsvSidecar:
+    @given(csv_matrices(labels=SIDECAR_LABELS))
+    @settings(deadline=None, max_examples=100)
+    def test_hit_equals_a_fresh_parse(self, tmp_path_factory, A):
+        tmp = tmp_path_factory.mktemp("csv")
+        A.to_csv(str(tmp / "matrix.csv"))
+        parsed = FunctionValueMatrix.from_csv(str(tmp / "matrix.csv"))
+        assert (tmp / ".matrix.csv.npz").is_file()
+        assert same_matrix(read_without_parsing(str(tmp / "matrix.csv")), parsed)
+        assert parsed.labels == (A.labels or tuple(f"f{i}" for i in range(A.n_functions)))
+
+    def test_rewritten_csv_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        SIDECAR_MATRIX.to_csv(str(path))
+        FunctionValueMatrix.from_csv(str(path))
+        stamp, size, old = path.stat().st_mtime_ns, path.stat().st_size, (tmp_path / ".matrix.csv.npz").read_bytes()
+        changed = FunctionValueMatrix(values=np.array([[0.75, -0.0], [5e-324, -1.0]]), b=1.0,
+                                      labels=SIDECAR_MATRIX.labels)
+        changed.to_csv(str(path))
+        os.utime(path, ns=(stamp, stamp))
+        assert path.stat().st_size == size
+        assert same_matrix(FunctionValueMatrix.from_csv(str(path)), changed)
+        assert (tmp_path / ".matrix.csv.npz").read_bytes() != old
+        assert same_matrix(read_without_parsing(str(path)), changed)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "foreign", "other_digest"])
+    def test_a_bad_sidecar_is_ignored_and_replaced(self, tmp_path, damage):
+        path, sidecar = tmp_path / "matrix.csv", tmp_path / ".matrix.csv.npz"
+        SIDECAR_MATRIX.to_csv(str(path))
+        FunctionValueMatrix.from_csv(str(path))
+        good = sidecar.read_bytes()
+        if damage == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        elif damage == "garbage":
+            sidecar.write_bytes(b"not a zip file")
+        elif damage in ("npy", "foreign"):
+            with sidecar.open("wb") as handle:
+                np.save(handle, np.zeros(3)) if damage == "npy" else np.savez(handle, x=np.ones(2))
+        else:  # a well-formed sidecar for other bytes
+            other = tmp_path / "other.csv"
+            FunctionValueMatrix(values=np.zeros((1, 1)), b=1.0).to_csv(str(other))
+            FunctionValueMatrix.from_csv(str(other))
+            os.replace(tmp_path / ".other.csv.npz", sidecar)
+        assert same_matrix(FunctionValueMatrix.from_csv(str(path)), SIDECAR_MATRIX)
+        assert sidecar.read_bytes() == good
+        assert same_matrix(read_without_parsing(str(path)), SIDECAR_MATRIX)
+
+    @pytest.mark.parametrize("mode", [0o600, 0o644])
+    def test_the_sidecar_is_as_readable_as_its_csv(self, tmp_path, mode):
+        path = tmp_path / "matrix.csv"
+        SIDECAR_MATRIX.to_csv(str(path))
+        path.chmod(mode)
+        FunctionValueMatrix.from_csv(str(path))
+        assert (tmp_path / ".matrix.csv.npz").stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("failing", ["tempfile.mkstemp", "numpy.savez", "os.replace"])
+    def test_an_unwritable_directory_reads_alike(self, tmp_path, failing):
+        path = tmp_path / "matrix.csv"
+        SIDECAR_MATRIX.to_csv(str(path))
+        with mock.patch(failing, side_effect=PermissionError(13, "read-only directory")):
+            for _ in range(2):
+                assert same_matrix(FunctionValueMatrix.from_csv(str(path)), SIDECAR_MATRIX)
+        assert os.listdir(tmp_path) == ["matrix.csv"]  # no sidecar and no temp file left
+
+    def test_labels_are_utf8_whatever_the_locale(self, tmp_path):
+        label = "\u00e9,\U0001f642"  # an e-acute, a comma and an emoji
+        path = tmp_path / "matrix.csv"
+        FunctionValueMatrix(values=np.zeros((1, 1)), b=1.0, labels=(label,)).to_csv(str(path))
+        assert path.read_bytes() == b'# b=1.0\n"' + label.encode("utf-8") + b'",0.0\r\n'
+        # an ASCII locale reads the same label and writes the same bytes
+        script = ("import sys, locale; from metamargin.complexity import FunctionValueMatrix as F; "
+                  "assert locale.getpreferredencoding(False) != 'utf-8'; "
+                  "A = F.from_csv(sys.argv[1]); A.to_csv(sys.argv[2]); print(ascii(A.labels))")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "again.csv")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out == ascii((label,)) + "\n"
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_a_fifo_is_read_once_and_keeps_no_sidecar(self, tmp_path):
+        SIDECAR_MATRIX.to_csv(str(tmp_path / "source.csv"))
+        fifo = tmp_path / "matrix.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "source.csv").read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        faulthandler.dump_traceback_later(60, exit=True)  # a second open would block forever
+        try:
+            A = FunctionValueMatrix.from_csv(str(fifo))
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert same_matrix(A, SIDECAR_MATRIX)
+        assert not (tmp_path / ".matrix.csv.npz").exists()
 
 
 def chunked_reference(A, draws, seed, estimator, rows=None):
