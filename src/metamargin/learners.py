@@ -68,10 +68,13 @@ class FeatureMap:
             out = xs @ self.weight.T
             if self.kind == "random_relu":
                 np.maximum(out, 0.0, out=out)
-        norms = np.linalg.norm(out, axis=1)
-        over = norms > self.norm_cap
-        if np.any(over):
-            out[over] *= (self.norm_cap / norms[over])[:, None]
+        cap = self.norm_cap
+        # Squared norms screen the rows, with slack for their rounding; exact norms decide.
+        rows = np.flatnonzero(np.einsum("ij,ij->i", out, out) >= cap * cap * (1 - 1e-6))
+        if rows.size:
+            norms = np.linalg.norm(out[rows], axis=1)
+            over = norms > cap
+            out[rows[over]] *= (cap / norms[over])[:, None]
         return out
 
 
@@ -167,6 +170,11 @@ class CentroidScorer(ScoringFunction):
     a batch of n episodes. Indexing selects a sub-batch (a mask) or one
     episode's scorer (an int), which has no episode axis and scores
     (m, d_raw) inputs.
+
+    Squared distances expand as ||f||^2 - 2 f.c + ||c||^2, every f.c of
+    a call from one batched matmul. Near a centroid the expansion cancels:
+    a point on it would score about -1e-8, not 0. So every entry with
+    d^2 <= 1e-2 (||f||^2 + ||c||^2) is recomputed exactly as sum((f - c)^2).
     """
 
     def __init__(self, centroids: np.ndarray, scale, b: float, phi: FeatureMap, failed):
@@ -185,14 +193,21 @@ class CentroidScorer(ScoringFunction):
 
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
         feats = _features(self.phi, xs)
-        k = self.centroids.shape[-2]
-        dists = np.empty(feats.shape[:-1] + (k,))
-        # One class at a time, into one reused (..., m, d) difference buffer.
-        diff = np.empty(np.broadcast_shapes(feats.shape, self.centroids[..., :1, :].shape))
-        for c in range(k):
-            np.subtract(feats, self.centroids[..., c, None, :], out=diff)
-            dists[..., c] = np.sqrt(np.einsum("...i,...i->...", diff, diff))
-        return np.clip(-dists / self.scale[..., None, None], -self.b, self.b)
+        cents = self.centroids
+        sq = (np.einsum("...i,...i->...", feats, feats)[..., :, None]
+              + np.einsum("...i,...i->...", cents, cents)[..., None, :])
+        d2 = feats @ np.ascontiguousarray(np.swapaxes(-2.0 * cents, -1, -2))
+        d2 += sq
+        sq *= 1e-2
+        near = ~(d2 > sq)  # not d2 <= sq: NaNs from overflow are recomputed too
+        if near.any():
+            *ep, i, j = np.nonzero(near)
+            diff = (np.broadcast_to(feats, d2.shape[:-1] + feats.shape[-1:])[(*ep, i)]
+                    - np.broadcast_to(cents, d2.shape[:-2] + cents.shape[-2:])[(*ep, j)])
+            d2[near] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(d2, out=d2)
+        d2 /= -self.scale[..., None, None]
+        return np.clip(d2, -self.b, self.b, out=d2)
 
 
 class LinearScorer(ScoringFunction):

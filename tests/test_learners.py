@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from metamargin.core import EnvironmentSpec, EpisodeBatch, EpisodeShape, sample_meta_sample
 from metamargin.learners import (
+    CentroidScorer,
     FeatureFamily,
     NumericError,
     linear_multimargin_learn,
@@ -56,6 +58,29 @@ class TestFeatureFamily:
         out = fam.maps[0].apply_matrix(np.array([100.0, 0.0, 0.0])[None])[0]
         assert np.linalg.norm(out) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("cap", [1e-3, 1.0, 5.0, 1e6, 1e150])
+    def test_norm_cap_decides_rows_by_the_exact_norm(self, cap):
+        # Rows on the cap in many directions, and one ulp off it per entry:
+        # some of them round their squared norm below cap^2 and their exact
+        # norm above cap.
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=(256, 37))
+        on = u / np.linalg.norm(u, axis=1, keepdims=True) * cap
+        axis = np.eye(37)[:3]
+        rows = np.concatenate([
+            axis * cap, axis * np.nextafter(cap, np.inf), axis * np.nextafter(cap, 0.0),
+            on, np.nextafter(on, np.copysign(np.inf, on)), np.nextafter(on, 0.0),
+            1e3 * on, np.zeros((3, 37)),
+        ])
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(rows, axis=1)
+            assert {cap, np.nextafter(cap, np.inf), np.nextafter(cap, 0.0)} <= set(norms)
+            want = rows.copy()
+            over = norms > cap
+            want[over] *= (cap / norms[over])[:, None]
+            phi = make_feature_family(37, 37, 1, "identity", 0, norm_cap=cap).maps[0]
+            assert phi.apply_matrix(rows).tobytes() == want.tobytes()
+
     def test_distinct_ids_required(self):
         fm = make_feature_family(3, 3, 1, "identity", 0).maps[0]
         with pytest.raises(ValueError):
@@ -78,6 +103,42 @@ class TestNearestCentroid:
         scorer = nearest_centroid_learn(ep, phi, 1.0)[0]
         s = scorer.scores_matrix(np.array([[3.0, -1.0]]))[0]
         assert s[0] == s[1]
+
+    def test_query_on_its_centroid_scores_exactly_zero(self):
+        # One support point per class puts each centroid on a point. Far
+        # from the origin, ||f||^2 - 2 f.c + ||c||^2 leaves a residual there.
+        rng = np.random.default_rng(3)
+        xs = 1e3 + rng.normal(size=(4, 5, 8))
+        ys = np.tile(np.arange(1, 6), (4, 1))
+        phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
+        scorer = nearest_centroid_learn(EpisodeBatch(xs, ys, 5), phi, 1e6)
+        assert np.all(np.diagonal(scorer.scores_matrix(xs), axis1=1, axis2=2) == 0.0)
+        assert np.all(scorer[2].scores_matrix(xs[2]).diagonal() == 0.0)
+
+    def test_overflowing_squares_score_like_differences(self):
+        # Features of norm 1e154 pass a cap of 1e200, but 2 f.c overflows.
+        phi = make_feature_family(2, 2, 1, "identity", 0, norm_cap=1e200).maps[0]
+        points = np.array([[1e154, 0.0], [-1e154, 0.0]])
+        scorer = CentroidScorer(points, 1.0, 1.0, phi, False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = scorer.scores_matrix(points)
+        assert np.array_equal(scores, [[0.0, -1.0], [-1.0, 0.0]])
+
+    @given(st.floats(0.0, 4.0), st.integers(2, 6), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_far_from_the_origin_matches_class_differences(self, log_offset, k, d, seed):
+        # ||f - c||^2 is small against ||f||^2 + ||c||^2 here, the regime in
+        # which the expanded square cancels.
+        rng = np.random.default_rng(seed)
+        offset = 10.0 ** log_offset
+        xs = offset + rng.normal(size=(3, 2 * k, d))
+        ys = np.tile(np.arange(1, k + 1), (3, 2))
+        phi = make_feature_family(d, d, 1, "identity", 0).maps[0]
+        scorer = nearest_centroid_learn(EpisodeBatch(xs, ys, k), phi, 1e6)
+        queries = np.concatenate([xs, offset + rng.normal(size=(3, 10, d))], axis=1)
+        dists = np.linalg.norm(queries[:, :, None, :] - scorer.centroids[:, None, :, :], axis=-1)
+        want = -dists / scorer.scale[:, None, None]
+        np.testing.assert_allclose(scorer.scores_matrix(queries), want, rtol=1e-12, atol=0)
 
     def test_hand_1d_example(self):
         # support (-1, class 1), (+1, class 2); query -0.9 is nearer class 1
