@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import stat
 import tempfile
-import zipfile
-import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,14 +34,14 @@ from .learners import BaseLearner, FeatureFamily, require_fitted
 _CHUNK_ELEMENTS = 1 << 23
 # Each chunk's noise is filled this many float64 entries (4 MB) at a time.
 _NOISE_SLAB = 1 << 19
-# Rademacher signs are drawn this many 32-bit values (4 MB) at a time.
+# Rademacher signs are drawn this many 32-bit halves (4 MB of raw words) at a time.
 _SIGN_SLAB = 1 << 20
 _SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pass
-# Personalizes the digest that keys a parsed matrix CSV's sidecar; change it
-# whenever from_csv would read the same bytes differently.
-_SIDECAR_TAG = b"metamargin-csv1"
+# A parsed matrix CSV's sidecar: this line, a JSON header line, the CSV's bytes and, from the
+# next multiple of 8 bytes, the values as little-endian float64. Bump it if layout or parse change.
+_SIDECAR_MAGIC = b"metamargin parsed csv v2\n"
 # Whatever is wrong with a sidecar (missing, truncated, foreign), the CSV is parsed instead.
-_SIDECAR_ERRORS = (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
+_SIDECAR_ERRORS = (OSError, LookupError, TypeError, ValueError)
 
 
 def _csv_label(label: str) -> str:
@@ -111,26 +108,29 @@ class FunctionValueMatrix:
         ValueError.
 
         The file is read once. A parsed regular file leaves a sidecar
-        ``.<basename>.npz`` beside it, if the directory can be written,
-        keyed by a digest of its bytes: a later read of the same bytes
-        loads the matrix from it instead of parsing, and any other bytes
-        are parsed again and replace it.
+        ``.<basename>.parsed`` beside it, if the directory can be written,
+        holding a copy of its bytes: a later read of bytes equal to that copy,
+        compared byte for byte, loads the matrix from the sidecar instead of
+        parsing, and any other bytes are parsed again and replace it.
         """
         with open(path, "rb") as handle:
             data = handle.read()
             mode = os.fstat(handle.fileno()).st_mode
-        digest = hashlib.blake2b(data, person=_SIDECAR_TAG).digest()
         head, name = os.path.split(path)
-        sidecar = os.path.join(head, f".{name}.npz")
+        sidecar = os.path.join(head, f".{name}.parsed")
         try:
-            with np.load(sidecar, allow_pickle=False) as cached:
-                if cached["digest"].tobytes() == digest:
-                    return cls(values=cached["values"], b=float(cached["b"]),
-                               labels=tuple(json.loads(str(cached["labels"]))))
+            with open(sidecar, "rb") as handle:
+                magic, meta = handle.readline(), json.loads(handle.readline())
+                offset = -(-(handle.tell() + len(data)) // 8) * 8
+                if (magic == _SIDECAR_MAGIC and meta["source"] == len(data)
+                        and os.fstat(handle.fileno()).st_size == offset + 8 * math.prod(meta["shape"])
+                        and handle.read(len(data)) == data):
+                    values = np.empty(meta["shape"], dtype="<f8")  # aligned, and read into without a copy
+                    if handle.seek(offset) == offset and handle.readinto(values) == values.nbytes:
+                        return cls(values=values, b=float(meta["b"]), labels=tuple(meta["labels"]))
         except _SIDECAR_ERRORS:
             pass
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-        del data  # lines now holds the only reference; it is closed before np.loadtxt runs
         with lines:
             header = lines.readline().strip()
             if not header.startswith("# b="):
@@ -148,24 +148,24 @@ class FunctionValueMatrix:
         table = np.loadtxt(body, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
         matrix = cls(values=np.ascontiguousarray(table["values"]), b=float(b[0]), labels=tuple(table["label"]))
         if stat.S_ISREG(mode):
-            _write_sidecar(sidecar, digest, matrix, stat.S_IMODE(mode) & 0o666)
+            _write_sidecar(sidecar, data, matrix, stat.S_IMODE(mode) & 0o666)
         return matrix
 
 
-def _write_sidecar(sidecar: str, digest: bytes, matrix: FunctionValueMatrix, mode: int) -> None:
-    """Replace sidecar by matrix under digest, readable by whoever may read
-    the CSV (its read and write bits are mode), or leave it if the directory
-    cannot be written. Labels go in as JSON text, which holds no NUL that
-    a numpy string array would strip."""
+def _write_sidecar(sidecar: str, data: bytes, matrix: FunctionValueMatrix, mode: int) -> None:
+    """Replace sidecar by the CSV's bytes data and matrix, readable by whoever
+    may read the CSV (its read and write bits are mode), or leave it if the
+    directory cannot be written. A short write leaves a sidecar that misses."""
+    meta = {"source": len(data), "shape": matrix.values.shape, "b": matrix.b, "labels": matrix.labels}
+    head = _SIDECAR_MAGIC + json.dumps(meta).encode() + b"\n"  # ASCII, one line
     try:
         fd, temp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".", dir=os.path.dirname(sidecar) or ".")
     except OSError:
         return
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with os.fdopen(fd, "wb"):  # closes fd
             os.fchmod(fd, mode)
-            np.savez(handle, digest=np.frombuffer(digest, dtype=np.uint8), values=matrix.values,
-                     b=np.float64(matrix.b), labels=np.array(json.dumps(list(matrix.labels))))
+            os.writev(fd, (head, data, bytes(-(len(head) + len(data)) % 8), matrix.values.astype("<f8", copy=False)))
         os.replace(temp, sidecar)
     except OSError:
         with contextlib.suppress(OSError):
@@ -245,19 +245,32 @@ def episode_restrictions(
 
 def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill the flat float64 array out with i.i.d. +-1 signs, the values
-    ``rng.integers(0, 2, size=out.size) * 2.0 - 1.0`` would give.
+    ``rng.integers(0, 2, size=out.size) * 2.0 - 1.0`` would give, and leave
+    rng as that call would.
 
     At range 2, numpy's 32-bit Lemire path never rejects, so each sign
-    is the top bit of one 32-bit draw (1 -> +1). Drawing those words in
-    bounded slabs gives the same signs and leaves rng in the same state,
-    since the generator keeps its buffered half-word between calls.
+    is the top bit of one 32-bit draw (1 -> +1). PCG64 gives those draws
+    as the low, then the high half of each raw 64-bit word, buffering an
+    unused high half between calls; each slab does the same by hand.
     """
+    bitgen = rng.bit_generator
     for start in range(0, out.size, _SIGN_SLAB):
         slab = out[start:start + _SIGN_SLAB]
-        bits = rng.integers(0, 1 << 32, size=slab.size, dtype=np.uint32)
-        bits >>= 31
-        np.multiply(bits, 2.0, out=slab)
-        slab -= 1.0
+        state = bitgen.state
+        buffered = state["has_uint32"]
+        if buffered:
+            slab[0] = 1.0 if state["uinteger"] >> 31 else -1.0
+        rest = slab[buffered:]
+        words = bitgen.random_raw((rest.size + 1) // 2)
+        state = bitgen.state
+        state["has_uint32"] = rest.size % 2
+        if rest.size:  # as numpy leaves it, even when no half is buffered
+            state["uinteger"] = int(words[-1] >> 32)
+        bitgen.state = state
+        halves = words.astype("<u8", copy=False).view("<i4")[:rest.size]
+        halves >>= 31  # -1 where the top bit is set, else 0
+        halves |= 1
+        np.negative(halves, out=rest)
 
 
 def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:

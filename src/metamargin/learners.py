@@ -74,6 +74,12 @@ class FeatureMap:
         if rows.size:
             norms = np.linalg.norm(out[rows], axis=1)
             over = norms > cap
+            huge = np.isinf(norms)
+            if huge.any():  # the squares overflowed: divide the row by its largest entry first
+                scaled = out[rows[huge]]
+                scaled /= np.abs(scaled).max(axis=1, keepdims=True)
+                out[rows[huge]] = scaled
+                norms[huge] = np.linalg.norm(scaled, axis=1)
             out[rows[over]] *= (cap / norms[over])[:, None]
         return out
 

@@ -1,5 +1,7 @@
 import csv
 import faulthandler
+import gc
+import hashlib
 import itertools
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import ConstantScorer
 from metamargin.cli import main
 from metamargin.complexity import (
+    _SIGN_SLAB,
+    _fill_signs,
     _greedy_covers,
     _normalized_sq_dists,
     ComplexityEstimate,
@@ -240,31 +245,63 @@ class TestMatrixCsvSidecar:
         tmp = tmp_path_factory.mktemp("csv")
         A.to_csv(str(tmp / "matrix.csv"))
         parsed = FunctionValueMatrix.from_csv(str(tmp / "matrix.csv"))
-        assert (tmp / ".matrix.csv.npz").is_file()
-        assert same_matrix(read_without_parsing(str(tmp / "matrix.csv")), parsed)
+        assert (tmp / ".matrix.csv.parsed").is_file()
+        hit = read_without_parsing(str(tmp / "matrix.csv"))
+        assert same_matrix(hit, parsed)
+        flags = hit.values.flags
+        assert flags.c_contiguous and flags.aligned and flags.owndata
         assert parsed.labels == (A.labels or tuple(f"f{i}" for i in range(A.n_functions)))
 
     def test_rewritten_csv_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
         path = tmp_path / "matrix.csv"
         SIDECAR_MATRIX.to_csv(str(path))
         FunctionValueMatrix.from_csv(str(path))
-        stamp, size, old = path.stat().st_mtime_ns, path.stat().st_size, (tmp_path / ".matrix.csv.npz").read_bytes()
+        stamp, size, old = path.stat().st_mtime_ns, path.stat().st_size, (tmp_path / ".matrix.csv.parsed").read_bytes()
         changed = FunctionValueMatrix(values=np.array([[0.75, -0.0], [5e-324, -1.0]]), b=1.0,
                                       labels=SIDECAR_MATRIX.labels)
         changed.to_csv(str(path))
         os.utime(path, ns=(stamp, stamp))
         assert path.stat().st_size == size
         assert same_matrix(FunctionValueMatrix.from_csv(str(path)), changed)
-        assert (tmp_path / ".matrix.csv.npz").read_bytes() != old
+        assert (tmp_path / ".matrix.csv.parsed").read_bytes() != old
         assert same_matrix(read_without_parsing(str(path)), changed)
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "foreign", "other_digest"])
+    def test_a_csv_cut_short_is_parsed_again(self, tmp_path):
+        # a CSV that lost its last bytes is a prefix of the sidecar's copy;
+        # cuts of 1 to 7 bytes put the values at the same 8-byte offset or not
+        full = FunctionValueMatrix(values=np.array([[0.25, -0.0], [5e-324, 0.123456789]]), b=1.0)
+        path = tmp_path / "matrix.csv"
+        for cut in range(1, 8):
+            full.to_csv(str(path))
+            FunctionValueMatrix.from_csv(str(path))  # the sidecar of the whole file
+            path.write_bytes(path.read_bytes()[:-cut])
+            labels, values = csv_module_read(str(path))
+            A = FunctionValueMatrix.from_csv(str(path))
+            assert A.labels == tuple(labels) and np.array_equal(A.values.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "foreign", "other_digest", "csv_byte",
+                                        "values_short", "values_long", "shape", "old_npz"])
     def test_a_bad_sidecar_is_ignored_and_replaced(self, tmp_path, damage):
-        path, sidecar = tmp_path / "matrix.csv", tmp_path / ".matrix.csv.npz"
+        path, sidecar = tmp_path / "matrix.csv", tmp_path / ".matrix.csv.parsed"
         SIDECAR_MATRIX.to_csv(str(path))
         FunctionValueMatrix.from_csv(str(path))
         good = sidecar.read_bytes()
-        if damage == "truncated":
+        copy = good.index(path.read_bytes())  # where the sidecar's copy of the CSV starts
+        if damage == "csv_byte":  # one byte of the stored copy flipped
+            sidecar.write_bytes(good[:copy + 20] + bytes([good[copy + 20] ^ 1]) + good[copy + 21:])
+        elif damage == "values_short":
+            sidecar.write_bytes(good[:-1])
+        elif damage == "values_long":
+            sidecar.write_bytes(good + b"\0")
+        elif damage == "shape":  # as many values as the CSV holds, in the wrong shape
+            assert b'"shape": [2, 2]' in good[:copy]
+            sidecar.write_bytes(good.replace(b'"shape": [2, 2]', b'"shape": [1, 4]', 1))
+        elif damage == "old_npz":  # the zip format with a matching BLAKE2b digest, holding other values
+            sidecar.unlink()
+            digest = hashlib.blake2b(path.read_bytes(), person=b"metamargin-csv1").digest()
+            np.savez(tmp_path / ".matrix.csv.npz", digest=np.frombuffer(digest, dtype=np.uint8),
+                     values=np.zeros((2, 2)), b=np.float64(1.0), labels=np.array('["y=1|phi=a", "y=2|phi=a"]'))
+        elif damage == "truncated":
             sidecar.write_bytes(good[:len(good) // 2])
         elif damage == "garbage":
             sidecar.write_bytes(b"not a zip file")
@@ -275,7 +312,7 @@ class TestMatrixCsvSidecar:
             other = tmp_path / "other.csv"
             FunctionValueMatrix(values=np.zeros((1, 1)), b=1.0).to_csv(str(other))
             FunctionValueMatrix.from_csv(str(other))
-            os.replace(tmp_path / ".other.csv.npz", sidecar)
+            os.replace(tmp_path / ".other.csv.parsed", sidecar)
         assert same_matrix(FunctionValueMatrix.from_csv(str(path)), SIDECAR_MATRIX)
         assert sidecar.read_bytes() == good
         assert same_matrix(read_without_parsing(str(path)), SIDECAR_MATRIX)
@@ -286,9 +323,9 @@ class TestMatrixCsvSidecar:
         SIDECAR_MATRIX.to_csv(str(path))
         path.chmod(mode)
         FunctionValueMatrix.from_csv(str(path))
-        assert (tmp_path / ".matrix.csv.npz").stat().st_mode & 0o777 == mode
+        assert (tmp_path / ".matrix.csv.parsed").stat().st_mode & 0o777 == mode
 
-    @pytest.mark.parametrize("failing", ["tempfile.mkstemp", "numpy.savez", "os.replace"])
+    @pytest.mark.parametrize("failing", ["tempfile.mkstemp", "os.writev", "os.replace"])
     def test_an_unwritable_directory_reads_alike(self, tmp_path, failing):
         path = tmp_path / "matrix.csv"
         SIDECAR_MATRIX.to_csv(str(path))
@@ -296,6 +333,19 @@ class TestMatrixCsvSidecar:
             for _ in range(2):
                 assert same_matrix(FunctionValueMatrix.from_csv(str(path)), SIDECAR_MATRIX)
         assert os.listdir(tmp_path) == ["matrix.csv"]  # no sidecar and no temp file left
+
+    def test_a_miss_and_a_hit_leave_no_file_unclosed(self, tmp_path):
+        # an unclosed file warns when it is collected, inside a finalizer,
+        # so the error that filter makes of it reaches the unraisable hook
+        path = str(tmp_path / "matrix.csv")
+        SIDECAR_MATRIX.to_csv(path)
+        unraisable = []
+        with warnings.catch_warnings(), mock.patch.object(sys, "unraisablehook", unraisable.append):
+            warnings.simplefilter("error", ResourceWarning)
+            assert same_matrix(FunctionValueMatrix.from_csv(path), SIDECAR_MATRIX)
+            assert same_matrix(read_without_parsing(path), SIDECAR_MATRIX)
+            gc.collect()
+        assert unraisable == []
 
     def test_labels_are_utf8_whatever_the_locale(self, tmp_path):
         label = "\u00e9,\U0001f642"  # an e-acute, a comma and an emoji
@@ -328,7 +378,7 @@ class TestMatrixCsvSidecar:
         writer.join(timeout=60)
         assert not writer.is_alive()
         assert same_matrix(A, SIDECAR_MATRIX)
-        assert not (tmp_path / ".matrix.csv.npz").exists()
+        assert not (tmp_path / ".matrix.csv.parsed").exists()
 
 
 def chunked_reference(A, draws, seed, estimator, rows=None):
@@ -388,6 +438,23 @@ def test_rademacher_stream_with_odd_chunks():
     A = FunctionValueMatrix(values=np.random.default_rng(2025).uniform(-1, 1, size=(3, 5001)), b=1.0)
     est = rademacher_complexity_mc(A, 2000, 11)
     assert (est.mean, est.std_error) == chunked_reference(A, 2000, 11, rademacher_complexity_mc, rows=312)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_fill_signs_matches_integers(buffered):
+    # odd and even sizes, within one slab and across a slab boundary; with
+    # buffered, the first fill starts on the generator's buffered half-word
+    ours, reference = np.random.default_rng(12), np.random.default_rng(12)
+    if buffered:
+        for rng in (ours, reference):
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+    for size in [1, 3, _SIGN_SLAB - 1, _SIGN_SLAB + 1]:
+        out = np.empty(size)
+        _fill_signs(ours, out)
+        assert out.tobytes() == (reference.integers(0, 2, size) * 2.0 - 1.0).tobytes()
+    assert ours.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(ours.integers(0, 1 << 32, 9, dtype=np.uint32),
+                          reference.integers(0, 1 << 32, 9, dtype=np.uint32))
 
 
 def test_rademacher_memory_stays_within_one_noise_chunk():

@@ -81,6 +81,17 @@ class TestFeatureFamily:
             phi = make_feature_family(37, 37, 1, "identity", 0, norm_cap=cap).maps[0]
             assert phi.apply_matrix(rows).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cap", [1.0, 1e6, 1e150])
+    def test_norm_cap_rescales_rows_whose_norm_overflows(self, cap):
+        rows = np.array([[1e160, 0.0], [-1e300, 1e300], [3e200, -4e200], [1e155, 1e155]])
+        phi = make_feature_family(2, 2, 1, "identity", 0, norm_cap=cap).maps[0]
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(rows, axis=1)).all()
+            out = phi.apply_matrix(rows)
+        want = np.array([[1.0, 0.0], [-np.sqrt(0.5), np.sqrt(0.5)], [0.6, -0.8], [np.sqrt(0.5)] * 2]) * cap
+        assert np.allclose(out, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(out[0], [cap, 0.0])
+
     def test_distinct_ids_required(self):
         fm = make_feature_family(3, 3, 1, "identity", 0).maps[0]
         with pytest.raises(ValueError):
