@@ -40,6 +40,8 @@ _SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pa
 # A parsed matrix CSV's sidecar: this line, a JSON header line, the CSV's bytes and, from the
 # next multiple of 8 bytes, the values as little-endian float64. Bump it if layout or parse change.
 _SIDECAR_MAGIC = b"metamargin parsed csv v2\n"
+# A sidecar's copy of the CSV is compared with the CSV this many bytes at a time.
+_COMPARE_BLOCK = 1 << 18
 # Whatever is wrong with a sidecar (missing, truncated, foreign), the CSV is parsed instead.
 _SIDECAR_ERRORS = (OSError, LookupError, TypeError, ValueError)
 
@@ -71,8 +73,9 @@ class FunctionValueMatrix:
             raise ValueError("values must be a nonempty 2-D matrix")
         if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError(f"b must be finite and > 0, got {self.b}")
-        # the maximum is NaN if any entry is, so this also rejects NaN
-        if not np.abs(vals).max() <= self.b + 1e-9:
+        # |x| <= t is x <= t and -x <= t; an extreme is NaN if any entry
+        # is, so this also rejects NaN, and needs no |values| temporary
+        if not (vals.max() <= self.b + 1e-9 and -vals.min() <= self.b + 1e-9):
             raise ValueError(f"entries must be finite and within bound b={self.b}")
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -93,12 +96,14 @@ class FunctionValueMatrix:
     def to_csv(self, path: str) -> None:
         """Write as UTF-8 CSV: a ``# b=<float>`` header line, then one row
         per function with its label in the first column. The bytes are those
-        of ``csv.writer`` given the label and each value's ``repr``."""
+        of ``csv.writer`` given the label and each value's ``repr``. Rows
+        become Python floats one at a time, so only one row's objects are
+        held at once."""
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(f"# b={self.b!r}\n")
             labels = self.labels or tuple(f"f{i}" for i in range(self.n_functions))
-            for label, row in zip(labels, self.values.tolist()):
-                handle.write(f"{_csv_label(label)},{','.join(map(repr, row))}\r\n")
+            for label, row in zip(labels, self.values):
+                handle.write(f"{_csv_label(label)},{','.join(map(repr, row.tolist()))}\r\n")
 
     @classmethod
     def from_csv(cls, path: str) -> "FunctionValueMatrix":
@@ -107,29 +112,25 @@ class FunctionValueMatrix:
         are parsed by numpy's reader; a malformed header or body raises
         ValueError.
 
-        The file is read once. A parsed regular file leaves a sidecar
-        ``.<basename>.parsed`` beside it, if the directory can be written,
-        holding a copy of its bytes: a later read of bytes equal to that copy,
-        compared byte for byte, loads the matrix from the sidecar instead of
-        parsing, and any other bytes are parsed again and replace it.
+        A pipe, FIFO or other non-regular file is read once. A parsed
+        regular file leaves a sidecar ``.<basename>.parsed`` beside it, if
+        the directory can be written, holding a copy of its bytes. A later
+        read compares the file with that copy one block at a time, through
+        one handle: if they are equal, the matrix is loaded from the sidecar
+        instead of parsing; otherwise the same handle reads the file again
+        from its start, and it is parsed and replaces the sidecar. So a hit
+        holds the values and two 256 KB blocks, and a parse the file's bytes.
         """
-        with open(path, "rb") as handle:
-            data = handle.read()
-            mode = os.fstat(handle.fileno()).st_mode
         head, name = os.path.split(path)
         sidecar = os.path.join(head, f".{name}.parsed")
-        try:
-            with open(sidecar, "rb") as handle:
-                magic, meta = handle.readline(), json.loads(handle.readline())
-                offset = -(-(handle.tell() + len(data)) // 8) * 8
-                if (magic == _SIDECAR_MAGIC and meta["source"] == len(data)
-                        and os.fstat(handle.fileno()).st_size == offset + 8 * math.prod(meta["shape"])
-                        and handle.read(len(data)) == data):
-                    values = np.empty(meta["shape"], dtype="<f8")  # aligned, and read into without a copy
-                    if handle.seek(offset) == offset and handle.readinto(values) == values.nbytes:
-                        return cls(values=values, b=float(meta["b"]), labels=tuple(meta["labels"]))
-        except _SIDECAR_ERRORS:
-            pass
+        with open(path, "rb") as handle:
+            info = os.fstat(handle.fileno())
+            if stat.S_ISREG(info.st_mode):
+                matrix = _read_sidecar(cls, sidecar, handle, info.st_size)
+                if matrix is not None:
+                    return matrix
+                handle.seek(0)
+            data = handle.read()
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
         with lines:
             header = lines.readline().strip()
@@ -147,9 +148,34 @@ class FunctionValueMatrix:
         row = np.dtype([("label", object), ("values", np.float64, (len(first) - 1,))])
         table = np.loadtxt(body, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
         matrix = cls(values=np.ascontiguousarray(table["values"]), b=float(b[0]), labels=tuple(table["label"]))
-        if stat.S_ISREG(mode):
-            _write_sidecar(sidecar, data, matrix, stat.S_IMODE(mode) & 0o666)
+        if stat.S_ISREG(info.st_mode):
+            _write_sidecar(sidecar, data, matrix, stat.S_IMODE(info.st_mode) & 0o666)
         return matrix
+
+
+def _read_sidecar(cls: type, sidecar: str, source, size: int) -> Optional[FunctionValueMatrix]:
+    """The matrix, of type cls, that sidecar stores for the size bytes the
+    binary file source holds from its position to its end, compared one
+    block at a time; None if it stores anything else or cannot be read."""
+    try:
+        with open(sidecar, "rb") as handle:
+            magic, meta = handle.readline(), json.loads(handle.readline())
+            offset = -(-(handle.tell() + size) // 8) * 8
+            if not (magic == _SIDECAR_MAGIC and meta["source"] == size
+                    and os.fstat(handle.fileno()).st_size == offset + 8 * math.prod(meta["shape"])):
+                return None
+            for start in range(0, size, _COMPARE_BLOCK):
+                block = min(_COMPARE_BLOCK, size - start)
+                if source.read(block) != handle.read(block):
+                    return None
+            if source.read(1):  # the file grew after its size was taken
+                return None
+            values = np.empty(meta["shape"], dtype="<f8")  # aligned, and read into without a copy
+            if handle.seek(offset) == offset and handle.readinto(values) == values.nbytes:
+                return cls(values=values, b=float(meta["b"]), labels=tuple(meta["labels"]))
+    except _SIDECAR_ERRORS:
+        pass
+    return None
 
 
 def _write_sidecar(sidecar: str, data: bytes, matrix: FunctionValueMatrix, mode: int) -> None:

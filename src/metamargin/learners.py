@@ -72,7 +72,8 @@ class FeatureMap:
         # Squared norms screen the rows, with slack for their rounding; exact norms decide.
         rows = np.flatnonzero(np.einsum("ij,ij->i", out, out) >= cap * cap * (1 - 1e-6))
         if rows.size:
-            norms = np.linalg.norm(out[rows], axis=1)
+            with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+                norms = np.linalg.norm(out[rows], axis=1)
             over = norms > cap
             huge = np.isinf(norms)
             if huge.any():  # the squares overflowed: divide the row by its largest entry first

@@ -59,3 +59,14 @@ def test_every_name_run_imports_resolves():
     missing = [f"{module}.{name}" for module, name in imported
                if not (name is None or hasattr(importlib.import_module(module), name))]
     assert missing == []
+
+
+def test_every_traced_method_is_defined_on_its_own_class():
+    # the tracer wraps ``cls.__dict__[method]``: an inherited method passes
+    # hasattr but raises KeyError when a traced run installs its spans
+    problems = []
+    for module_name, class_name, method in SPANS.METHODS:
+        cls = getattr(importlib.import_module(f"{SPANS.PACKAGE}.{module_name}"), class_name)
+        if method not in vars(cls):
+            problems.append(f"{module_name}.{class_name}.{method}: not in {class_name}.__dict__")
+    assert problems == []

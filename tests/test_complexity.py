@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import ConstantScorer
 from metamargin.cli import main
 from metamargin.complexity import (
+    _COMPARE_BLOCK,
     _SIGN_SLAB,
     _fill_signs,
     _greedy_covers,
@@ -105,6 +107,24 @@ class TestMatrixValidation:
     def test_entries_must_respect_bound(self):
         with pytest.raises(ValueError):
             FunctionValueMatrix(values=np.array([[2.0]]), b=1.0)
+
+    @pytest.mark.parametrize("b", [1.0, 5e-324, 1e300])
+    def test_bound_check_decides_as_the_absolute_maximum(self, b):
+        # entries on, one ulp inside and one ulp outside the slack, each sign,
+        # next to NaN, infinities and the largest float
+        edge = b + 1e-9
+        entries = [0.0, -0.0, b, -b, edge, -edge, np.nextafter(edge, 0), -np.nextafter(edge, 0),
+                   np.nextafter(edge, np.inf), -np.nextafter(edge, np.inf), np.nan, np.inf, -np.inf,
+                   np.finfo(float).max, -np.finfo(float).max]
+        for row in itertools.product(entries, repeat=2):
+            values = np.array([row])
+            accepted = bool(np.abs(values).max() <= edge)
+            try:
+                FunctionValueMatrix(values=values, b=b)
+            except ValueError:
+                assert not accepted, row
+            else:
+                assert accepted, row
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -236,6 +256,15 @@ def read_without_parsing(path):
 SIDECAR_LABELS = st.one_of(LABELS, st.sampled_from(["\x00", "nul\x00", '\x00a,"b"\n\x00']))
 SIDECAR_MATRIX = FunctionValueMatrix(values=np.array([[0.25, -0.0], [5e-324, -1.0]]), b=1.0,
                                      labels=("y=1|phi=a", "y=2|phi=a"))
+# Its CSV spans three compare blocks and part of a fourth.
+BLOCKS_MATRIX = FunctionValueMatrix(values=np.random.default_rng(8).uniform(-1, 1, size=(4, 10000)), b=1.0,
+                                    labels=tuple(f"y={y}|phi=a" for y in range(1, 5)))
+# The shape of the benchmark's wide restriction: its CSV spans about 15 compare blocks.
+WIDE_MATRIX = FunctionValueMatrix(values=np.random.default_rng(9).uniform(-1, 1, size=(40, 5000)), b=1.0,
+                                  labels=tuple(f"f{i}" for i in range(40)))
+# Where one byte of the stored copy of BLOCKS_MATRIX's CSV is flipped, from the copy's start
+# (modulo the CSV's length, so -1 is its last byte).
+FLIPS_AT = {"block-1": _COMPARE_BLOCK - 1, "block": _COMPARE_BLOCK, "block+1": _COMPARE_BLOCK + 1, "last": -1}
 
 
 class TestMatrixCsvSidecar:
@@ -279,16 +308,56 @@ class TestMatrixCsvSidecar:
             A = FunctionValueMatrix.from_csv(str(path))
             assert A.labels == tuple(labels) and np.array_equal(A.values.view(np.int64), values.view(np.int64))
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "foreign", "other_digest", "csv_byte",
-                                        "values_short", "values_long", "shape", "old_npz"])
-    def test_a_bad_sidecar_is_ignored_and_replaced(self, tmp_path, damage):
-        path, sidecar = tmp_path / "matrix.csv", tmp_path / ".matrix.csv.parsed"
+    def test_a_csv_that_grows_after_its_size_is_taken_is_parsed_again(self, tmp_path):
+        # a row appended between the size check and the comparison: the
+        # stored copy is then a prefix of the file and must not hit
+        path = tmp_path / "matrix.csv"
         SIDECAR_MATRIX.to_csv(str(path))
         FunctionValueMatrix.from_csv(str(path))
-        good = sidecar.read_bytes()
-        copy = good.index(path.read_bytes())  # where the sidecar's copy of the CSV starts
+        size, inode = path.stat().st_size, path.stat().st_ino
+        with path.open("ab") as handle:
+            handle.write(b"f2,0.5,0.5\r\n")
+        real_fstat = os.fstat
+
+        def fstat(fd):  # the CSV's size as it was before the append
+            info = real_fstat(fd)
+            if info.st_ino != inode:
+                return info
+            return os.stat_result(info[:stat.ST_SIZE] + (size,) + info[stat.ST_SIZE + 1:])
+
+        with mock.patch("os.fstat", fstat):
+            A = FunctionValueMatrix.from_csv(str(path))
+        assert same_matrix(A, FunctionValueMatrix(values=np.vstack([SIDECAR_MATRIX.values, [[0.5, 0.5]]]), b=1.0,
+                                                  labels=(*SIDECAR_MATRIX.labels, "f2")))
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "foreign", "other_digest", "csv_byte",
+                                        "values_short", "values_long", "shape", "old_npz", *FLIPS_AT,
+                                        "csv_last_block"])
+    def test_a_bad_sidecar_is_ignored_and_replaced(self, tmp_path, damage):
+        path, sidecar = tmp_path / "matrix.csv", tmp_path / ".matrix.csv.parsed"
+        want = BLOCKS_MATRIX if damage in (*FLIPS_AT, "csv_last_block") else SIDECAR_MATRIX
+        want.to_csv(str(path))
+        FunctionValueMatrix.from_csv(str(path))
+        good, data = sidecar.read_bytes(), path.read_bytes()
+        copy = good.index(data)  # where the sidecar's copy of the CSV starts
+        if want is BLOCKS_MATRIX:
+            assert len(data) > 3 * _COMPARE_BLOCK
         if damage == "csv_byte":  # one byte of the stored copy flipped
             sidecar.write_bytes(good[:copy + 20] + bytes([good[copy + 20] ^ 1]) + good[copy + 21:])
+        elif damage in FLIPS_AT:
+            at = copy + FLIPS_AT[damage] % len(data)
+            sidecar.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+        elif damage == "csv_last_block":  # the last digit of the CSV's last value, in place
+            at = len(data) - len(b"\r\n") - 1
+            assert chr(data[at]).isdigit()
+            edited = data[:at] + (b"6" if data[at] == ord("5") else b"5") + data[at + 1:]
+            fresh = tmp_path / "fresh"
+            fresh.mkdir()
+            (fresh / "matrix.csv").write_bytes(edited)
+            want = FunctionValueMatrix.from_csv(str(fresh / "matrix.csv"))
+            good = (fresh / ".matrix.csv.parsed").read_bytes()
+            assert not same_matrix(want, BLOCKS_MATRIX)
+            path.write_bytes(edited)
         elif damage == "values_short":
             sidecar.write_bytes(good[:-1])
         elif damage == "values_long":
@@ -313,9 +382,35 @@ class TestMatrixCsvSidecar:
             FunctionValueMatrix(values=np.zeros((1, 1)), b=1.0).to_csv(str(other))
             FunctionValueMatrix.from_csv(str(other))
             os.replace(tmp_path / ".other.csv.parsed", sidecar)
-        assert same_matrix(FunctionValueMatrix.from_csv(str(path)), SIDECAR_MATRIX)
+        assert same_matrix(FunctionValueMatrix.from_csv(str(path)), want)
         assert sidecar.read_bytes() == good
-        assert same_matrix(read_without_parsing(str(path)), SIDECAR_MATRIX)
+        assert same_matrix(read_without_parsing(str(path)), want)
+
+    def test_a_hit_holds_the_values_and_two_blocks(self, tmp_path):
+        path = str(tmp_path / "matrix.csv")
+        WIDE_MATRIX.to_csv(path)
+        assert os.path.getsize(path) >= 8 * _COMPARE_BLOCK
+        FunctionValueMatrix.from_csv(path)
+        tracemalloc.start()
+        try:
+            hit = read_without_parsing(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_matrix(hit, WIDE_MATRIX)
+        assert peak < WIDE_MATRIX.values.nbytes + 2 * _COMPARE_BLOCK + (64 << 10)
+
+    def test_to_csv_holds_one_row_of_python_objects(self, tmp_path):
+        tracemalloc.start()
+        try:
+            WIDE_MATRIX.to_csv(str(tmp_path / "matrix.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per value of a row: its float, its repr, their list slots and its
+        # share of the line, about 110 bytes; the whole matrix at once holds
+        # the floats of every row, about 32 bytes per value of the matrix
+        assert peak < 200 * WIDE_MATRIX.n_points + (64 << 10)
 
     @pytest.mark.parametrize("mode", [0o600, 0o644])
     def test_the_sidecar_is_as_readable_as_its_csv(self, tmp_path, mode):

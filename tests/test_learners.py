@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -87,6 +89,8 @@ class TestFeatureFamily:
         phi = make_feature_family(2, 2, 1, "identity", 0, norm_cap=cap).maps[0]
         with np.errstate(over="ignore"):
             assert np.isinf(np.linalg.norm(rows, axis=1)).all()
+        with warnings.catch_warnings():  # numpy's overflow warning would reach a CLI user's stderr
+            warnings.simplefilter("error")
             out = phi.apply_matrix(rows)
         want = np.array([[1.0, 0.0], [-np.sqrt(0.5), np.sqrt(0.5)], [0.6, -0.8], [np.sqrt(0.5)] * 2]) * cap
         assert np.allclose(out, want, rtol=1e-15, atol=0.0)
