@@ -119,7 +119,7 @@ class FunctionValueMatrix:
         one handle: if they are equal, the matrix is loaded from the sidecar
         instead of parsing; otherwise the same handle reads the file again
         from its start, and it is parsed and replaces the sidecar. So a hit
-        holds the values and two 256 KB blocks, and a parse the file's bytes.
+        holds the values and two compare blocks, and a parse the file's bytes.
         """
         head, name = os.path.split(path)
         sidecar = os.path.join(head, f".{name}.parsed")

@@ -53,8 +53,7 @@ def margin_terms(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.nda
     # the minimum and zeroes its hinge. Rounding is monotone, so the
     # minimum gap equals the true score minus the maximum competitor.
     np.put_along_axis(gaps, col, np.inf, axis=-1)
-    # np.minimum, not np.fmin: a NaN score gives a NaN margin
-    return _reduce_columns(np.minimum, gaps), np.maximum(0.0, 1.0 - gaps / rho)
+    return gaps.min(axis=-1), np.maximum(0.0, 1.0 - gaps / rho)
 
 
 def episode_losses(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -64,23 +63,8 @@ def episode_losses(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.n
     (...): one loss per episode, averaged over its m points.
     """
     margins, hinges = margin_terms(scores, ys, rho)
-    multi = _reduce_columns(np.add, hinges) / (hinges.shape[-1] - 1)
-    return margin_loss_array(rho, margins).mean(axis=-1), multi.mean(axis=-1)
-
-
-def _reduce_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(a, axis=-1)``, bit for bit, one column at a time.
-
-    numpy reduces fewer than 8 terms along a last axis in order, so a loop
-    over the columns gives its result without its per-row overhead, which
-    dominates on the short class axis; longer axes keep numpy's reduction.
-    """
-    if a.shape[-1] >= 8:
-        return ufunc.reduce(a, axis=-1)
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        ufunc(out, a[..., j], out=out)
-    return out
+    k = hinges.shape[-1]
+    return margin_loss_array(rho, margins).mean(axis=-1), (hinges.sum(axis=-1) / (k - 1)).mean(axis=-1)
 
 
 def margin_loss_array(rho: float, t: np.ndarray) -> np.ndarray:
