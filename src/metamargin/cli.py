@@ -7,16 +7,14 @@ config, and ``sweep`` repeats it along one parameter axis. Exit codes:
 0 on success, 2 on invalid flags or config, 3 on numeric failure.
 
 A run's seed is ``--seed`` if given, else the config's (``estimate``:
-0). Its output path is ``--output``, else the config's ``output_path``,
-else results.csv or sweep.csv in the METAMARGIN_OUTPUT_DIR environment
-variable's directory (default: the working directory).
+0). Its output CSV is ``--output`` (default: results.csv or sweep.csv in
+the working directory).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -50,8 +48,6 @@ from .harness import (
     write_sweep_rows,
 )
 from .learners import NumericError
-
-ENV_OUTPUT_DIR = "METAMARGIN_OUTPUT_DIR"
 
 
 def _print_json(payload: dict, indent: int | None = None) -> None:
@@ -99,11 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)  # the flags simulate and sweep share
     run.add_argument("--config", required=True, help="experiment config JSON")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--output", default=None, help="output CSV path")
     run.add_argument("--workers", type=int, default=None)
 
-    sub.add_parser("simulate", parents=[run], help="run a bound-validity experiment")
+    p_sim = sub.add_parser("simulate", parents=[run], help="run a bound-validity experiment")
+    p_sim.add_argument("--output", default="results.csv", help="output CSV path")
     p_sweep = sub.add_parser("sweep", parents=[run], help="sweep one parameter axis")
+    p_sweep.add_argument("--output", default="sweep.csv", help="output CSV path")
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     return parser
@@ -163,23 +160,16 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     with open(args.config) as handle:
         config = ExperimentConfig.from_json(json.load(handle))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
-    output = args.output if args.output is not None else config.output_path
-    if output is None:
-        base = os.environ.get(ENV_OUTPUT_DIR, ".")
-        output = os.path.join(base, "results.csv" if args.command == "simulate" else "sweep.csv")
-    return replace(config, output_path=output)
+    flags = {"seed": args.seed, "workers": args.workers}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     start = time.perf_counter()
     rows, summary = bound_validity_experiment(config)
-    write_result_rows(rows, config.output_path)
-    summary["output_path"] = config.output_path
+    write_result_rows(rows, args.output)
+    summary["output_path"] = args.output
     summary["elapsed_s"] = round(time.perf_counter() - start, 3)
     _print_json(summary, indent=2)
     return 0
@@ -193,12 +183,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be comma-separated numbers: {exc}") from exc
     start = time.perf_counter()
     rows = sweep(config, args.axis, values)
-    write_sweep_rows(rows, config.output_path)
+    write_sweep_rows(rows, args.output)
     _print_json({
         "axis": args.axis,
         "values": values,
         "statuses": [r["status"] for r in rows],
-        "output_path": config.output_path,
+        "output_path": args.output,
         "elapsed_s": round(time.perf_counter() - start, 3),
     }, indent=2)
     return 0
@@ -220,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

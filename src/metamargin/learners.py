@@ -157,8 +157,8 @@ def _check_linear(steps: int, lam: float, step_size: float, b: float) -> None:
     """The hyperparameter checks both linear learners share."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not (b > 0 and 0 <= lam < math.inf and 0 <= step_size < math.inf):
-        raise ValueError(f"need b > 0 and finite lam, step_size >= 0; got b={b}, lam={lam}, "
+    if not (0 < b < math.inf and 0 <= lam < math.inf and 0 <= step_size < math.inf):
+        raise ValueError(f"need finite b > 0 and finite lam, step_size >= 0; got b={b}, lam={lam}, "
                          f"step_size={step_size}")
 
 
@@ -253,8 +253,8 @@ def nearest_centroid_learn(batch: EpisodeBatch, phi: FeatureMap, b: float) -> Ce
     fitted on the training (support) portion; an episode missing a
     class there is flagged in ``failed``.
     """
-    if b <= 0:
-        raise ValueError("b must be > 0")
+    if not 0 < b < math.inf:
+        raise ValueError(f"need finite b > 0, got b={b}")
     xs, ys = batch.support()
     k = batch.k
     onehot = _onehot(ys, k)
@@ -323,8 +323,8 @@ def linear_softmax_learn(
     b: float,
 ) -> LinearScorer:
     """Cross-entropy comparator: gradient descent on softmax NLL + L2, on
-    every episode of a batch at once. An episode whose objective turns
-    non-finite is flagged in ``failed``."""
+    every episode of a batch at once. An episode whose objective or
+    weights turn non-finite is flagged in ``failed``."""
     _check_linear(steps, lam, step_size, b)
     xs, ys = batch.support()
     feats = _features(phi, xs)
@@ -343,7 +343,7 @@ def linear_softmax_learn(
             history[t] = nll.mean(axis=1) + lam * (W * W).sum(axis=(1, 2))
             grad = np.swapaxes(probs - onehot, 1, 2) @ feats / m + 2.0 * lam * W
             W -= step_size * grad
-    failed = ~np.isfinite(history).all(axis=0)
+    failed = ~np.isfinite(history).all(axis=0) | ~np.isfinite(W).all(axis=(1, 2))
     return LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed)
 
 

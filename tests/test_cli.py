@@ -167,12 +167,28 @@ class TestSimulateCommand:
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
 
+    def test_output_defaults_to_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        # --output is the only output-path setting: METAMARGIN_OUTPUT_DIR
+        # does not move the default results.csv or sweep.csv
+        cfg = write_config(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("METAMARGIN_OUTPUT_DIR", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["output_path"] == "results.csv"
+        assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["output_path"] == "sweep.csv"
+        assert (tmp_path / "results.csv").exists() and (tmp_path / "sweep.csv").exists()
+        assert not any(elsewhere.iterdir())
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bound={**CONFIG["bound"], "k": 4})
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
 
     @pytest.mark.parametrize("key,value", [
-        ("trials", 2.5), ("record_timing", "false"), ("trails", 9), ("loss_kind", 0)])
+        ("trials", 2.5), ("record_timing", "false"), ("trails", 9), ("loss_kind", 0),
+        ("output_path", "results.csv")])
     def test_mistyped_or_unknown_key_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})
         out = tmp_path / "x.csv"

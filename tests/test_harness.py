@@ -379,7 +379,7 @@ class TestPairedBoundInequalities:
 
 
 def _config_without_shape():
-    # no episode_shape and no output_path
+    # no episode_shape
     return small_config(
         family=FamilySpec(d=8, groups=(FamilyGroup("random_linear", 2), FamilyGroup("identity", 1))),
         episode_shape=None,

@@ -272,6 +272,30 @@ class TestLinearMultimargin:
         assert scorer.W.shape == (2, 2)
 
 
+@pytest.mark.parametrize("b", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("learn", [
+    lambda ep, phi, b: nearest_centroid_learn(ep, phi, b),
+    lambda ep, phi, b: linear_multimargin_learn(ep, phi, 1.0, 1e-3, 5, 0.1, b),
+    lambda ep, phi, b: linear_softmax_learn(ep, phi, 1e-3, 5, 0.1, b),
+], ids=["centroid", "multimargin", "softmax"])
+def test_learners_require_finite_positive_b(learn, b):
+    phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
+    with pytest.raises(ValueError, match="finite b > 0"):
+        learn(two_cluster_episode(), phi, b)
+
+
+def test_linear_softmax_learn_flags_non_finite_weights():
+    # one huge step leaves W non-finite while the recorded objective
+    # (taken before the step) is finite; the multi-margin rule flags it
+    env = EnvironmentSpec(d_raw=8, k=3, prototype_scale=10.0, noise_sigma=1.0)
+    meta = sample_meta_sample(env, 2, 12, 1)
+    phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
+    scorer = linear_softmax_learn(meta, phi, 0.0, 1, 1e308, 1.0)
+    assert not np.isfinite(scorer.W).all() and scorer.failed.all()
+    with pytest.raises(NumericError):
+        require_fitted(scorer)
+
+
 def test_linear_softmax_learn_improves():
     ep = two_cluster_episode(gap=6.0)
     phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]

@@ -179,7 +179,7 @@ def _config_data(path=(), value=None, delete=False):
     (("environment", "balanced"), 1, "EnvironmentSpec.balanced must be a JSON bool"),
     (("loss_kind",), 1, "ExperimentConfig.loss_kind must be a JSON str"),
     (("learner", "kind"), None, "LearnerSpec.kind must be a JSON str"),
-    (("output_path",), 7, "ExperimentConfig.output_path must be a JSON str"),
+    (("record_timing",), 7, "ExperimentConfig.record_timing must be a JSON bool"),
     (("bound", "rho"), True, "BoundInputs.rho must be a JSON float"),
     (("bound", "rho"), "1.0", "BoundInputs.rho must be a JSON float"),
     (("family", "groups"), {"kind": "identity", "count": 1}, "FamilySpec.groups must be a JSON array"),
@@ -210,6 +210,5 @@ def test_config_accepts_json_numbers_of_either_kind_and_null_optionals():
     config = ExperimentConfig.from_json(_config_data(("trials",), 3.0))
     assert config.trials == 3 and isinstance(config.trials, int)
     data = _config_data()
-    data.update(output_path=None, episode_shape=None)
-    config = ExperimentConfig.from_json(data)
-    assert config.output_path is None and config.episode_shape is None
+    data.update(episode_shape=None)
+    assert ExperimentConfig.from_json(data).episode_shape is None
