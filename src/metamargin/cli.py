@@ -4,7 +4,8 @@ Subcommands: ``bound`` evaluates a transfer bound from flags,
 ``estimate`` runs a complexity estimator on a CSV function-value
 matrix, ``simulate`` runs a bound-validity experiment from a JSON
 config, and ``sweep`` repeats it along one parameter axis. Exit codes:
-0 on success, 2 on invalid flags or config, 3 on numeric failure.
+0 on success, 2 on invalid flags or config (or flags that ask for more
+memory than the machine has), 3 on numeric failure.
 
 A run's seed is ``--seed`` if given, else the config's (``estimate``:
 0). Its output CSV is ``--output`` (default: results.csv or sweep.csv in
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,8 +32,8 @@ from .learners import BaseLearner, FeatureFamily, require_fitted
 # Monte Carlo draws are taken 2**23 // n_points at a time: this chunk
 # width fixes which normals or signs feed which draw, not memory.
 _CHUNK_ELEMENTS = 1 << 23
-# Each chunk's noise is filled this many float64 entries (4 MB) at a time.
-_NOISE_SLAB = 1 << 19
+# Each chunk's noise is filled this many float64 entries (2 MB) at a time.
+_NOISE_SLAB = 1 << 18
 # Rademacher signs are drawn this many 32-bit halves (4 MB of raw words) at a time.
 _SIGN_SLAB = 1 << 20
 _SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pass
@@ -131,22 +131,23 @@ class FunctionValueMatrix:
                     return matrix
                 handle.seek(0)
             data = handle.read()
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-        with lines:
+        # the body is read from the stream, never held as a list of lines
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as lines:
             header = lines.readline().strip()
             if not header.startswith("# b="):
                 raise ValueError("matrix CSV must start with a '# b=<value>' line")
             text = header[len("# b="):]
-            body = lines.readlines()  # each line keeps its ending, so quoted newlines survive
-        # parsed like the body; np.loadtxt only warns on an empty value, hence the guard
-        b = np.loadtxt([text], delimiter=",", quotechar='"', comments=None, ndmin=1) if text else ()
-        if len(b) != 1:
-            raise ValueError(f"matrix CSV header must hold one number after '# b=', got {text!r}")
-        first = next((record for record in csv.reader(body) if record), None)
-        if first is None:
-            raise ValueError("matrix CSV contains no rows")
-        row = np.dtype([("label", object), ("values", np.float64, (len(first) - 1,))])
-        table = np.loadtxt(body, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
+            # parsed like the body; np.loadtxt only warns on an empty value, hence the guard
+            b = np.loadtxt([text], delimiter=",", quotechar='"', comments=None, ndmin=1) if text else ()
+            if len(b) != 1:
+                raise ValueError(f"matrix CSV header must hold one number after '# b=', got {text!r}")
+            body = lines.tell()
+            first = next((record for record in csv.reader(lines) if record), None)
+            if first is None:
+                raise ValueError("matrix CSV contains no rows")
+            lines.seek(body)
+            row = np.dtype([("label", object), ("values", np.float64, (len(first) - 1,))])
+            table = np.loadtxt(lines, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
         matrix = cls(values=np.ascontiguousarray(table["values"]), b=float(b[0]), labels=tuple(table["label"]))
         if stat.S_ISREG(info.st_mode):
             _write_sidecar(sidecar, data, matrix, stat.S_IMODE(info.st_mode) & 0o666)
@@ -219,18 +220,19 @@ def _restriction_values(batch: EpisodeBatch, family: FeatureFamily, base_learner
     scorers, their shared bound b and the row labels."""
     if batch.k != k:
         raise ValueError("episode class count does not match k")
-    blocks, scorers, labels = [], [], []
+    values = np.empty((k * len(family), batch.n, batch.m))
+    scorers, labels = [], []
     b = None
-    for phi in family.maps:
+    for i, phi in enumerate(family.maps):
         scorer = base_learner(batch, phi)
         if b is None:
             b = float(scorer.b)
         elif float(scorer.b) != b:
             raise ValueError("all scorers in a restriction must share the bound b")
-        blocks.append(np.moveaxis(scorer.scores_matrix(batch.xs), -1, 0))  # (k, n, m)
+        values[i * k:(i + 1) * k] = np.moveaxis(scorer.scores_matrix(batch.xs), -1, 0)  # (k, n, m)
         scorers.append(scorer)
         labels.extend(f"y={y}|phi={phi.id}" for y in range(1, k + 1))
-    return np.concatenate(blocks), scorers, b, tuple(labels)
+    return values, scorers, b, tuple(labels)
 
 
 def build_pi1f_restriction(
@@ -309,11 +311,15 @@ def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: b
     # a chunk's (n_pts, take) noise is point-major, so `rows` points at a
     # time are the next contiguous run of the stream
     rows = min(n_pts, max(1, _NOISE_SLAB // chunk))
-    buffer = np.empty(rows * chunk)  # every slab fills a C-contiguous prefix, as out= needs
+    # every slab and partial sum fills a C-contiguous prefix, as out= needs
+    buffer = np.empty(rows * chunk)
+    sums = np.empty(A.n_functions * chunk)
+    parts = np.empty(A.n_functions * chunk) if rows < n_pts else None
     sups = np.empty(draws)
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
+        acc = sums[:A.n_functions * take].reshape(-1, take)
         for p0 in range(0, n_pts, rows):
             p1 = min(p0 + rows, n_pts)
             slab = buffer[:(p1 - p0) * take]
@@ -321,11 +327,12 @@ def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: b
                 rng.standard_normal(out=slab)
             else:
                 _fill_signs(rng, slab)
-            part = vals[:, p0:p1] @ slab.reshape(p1 - p0, take)
+            noise = slab.reshape(p1 - p0, take)
             if p0 == 0:
-                acc = part
+                np.matmul(vals[:, p0:p1], noise, out=acc)
             else:
-                acc += part
+                part = parts[:acc.size].reshape(acc.shape)
+                acc += np.matmul(vals[:, p0:p1], noise, out=part)
         sups[done:done + take] = acc.max(axis=0)
         done += take
     sups *= 2.0 / n_pts

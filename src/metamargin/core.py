@@ -301,25 +301,31 @@ def _draw_tasks(env: EnvironmentSpec, states: Sequence[dict]) -> tuple[np.ndarra
 
 
 def _draw_episodes(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
-                   labels: Optional[np.ndarray], states: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
+                   shape: Optional[EpisodeShape], states: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
     """(xs (n, m, d_raw), ys (n, m)) of one episode per task l, drawn from
-    stream states[l]: the given labels, or m i.i.d. labels drawn from probs[l]
-    when labels is None, each point its prototype plus noise."""
+    stream states[l]: a k-way episode of the given shape, or m i.i.d. labels
+    drawn from probs[l] when shape is None, each point its prototype plus noise."""
     # A k-way episode's support and query noise come from one draw; the
     # generator yields the same numbers as drawing the two blocks in turn.
     n, k, d = protos.shape
     xs = np.empty((n, m, d))
     ys = np.empty((n, m), dtype=np.int64)
-    if labels is not None:
-        ys[:] = labels
+    if shape is not None:
+        ys[:] = shape.labels(k)
     rng = np.random.Generator(np.random.PCG64(0))
     for l, state in enumerate(states):
         rng.bit_generator.state = state
-        if labels is None:
+        if shape is None:
             ys[l] = rng.choice(k, size=m, p=probs[l]) + 1
         rng.standard_normal(out=xs[l])
     xs *= sigma
-    xs += protos[np.arange(n)[:, None], ys - 1]
+    if shape is None:
+        xs += protos[np.arange(n)[:, None], ys - 1]
+    else:  # class-major blocks of s, then of q: each gets its prototype, with no gathered copy
+        s, q = shape
+        for c in range(k):
+            xs[:, c * s:(c + 1) * s] += protos[:, c, None]
+            xs[:, k * s + c * q:k * s + (c + 1) * q] += protos[:, c, None]
     return xs, ys
 
 
@@ -356,7 +362,7 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
         raise ValueError(f"task has {task.k} classes, expected {k}")
     shape = EpisodeShape(s, q)
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma,
-                            shape.m(k), shape.labels(k), _one_stream(seed))
+                            shape.m(k), shape, _one_stream(seed))
     return EpisodeBatch(xs, ys, k, shape)
 
 
@@ -400,8 +406,7 @@ def sample_episode_batches(
     protos, probs = _draw_tasks(env, streams[0])
     batches = []
     for i, (m, shape) in enumerate(plan):
-        labels = None if shape is None else shape.labels(env.k)
-        xs, ys = _draw_episodes(protos, probs, env.noise_sigma, m, labels, streams[i + 1])
+        xs, ys = _draw_episodes(protos, probs, env.noise_sigma, m, shape, streams[i + 1])
         batches.append(EpisodeBatch(xs, ys, env.k, shape))
     return tuple(batches)
 

@@ -64,9 +64,12 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
 # Query-split test episodes are sampled, fitted and scored in blocks of
-# this many float64 input values (1.28 MB): 100 default-shaped episodes
-# (m = 100, d_raw = 16); blocks of 75 to 200 episodes time alike.
-_QUERY_BLOCK_VALUES = 160_000
+# this many float64 input values (0.96 MB): 75 default-shaped episodes
+# (m = 100, d_raw = 16). A block's transients must stay below the free
+# memory glibc's malloc keeps after set-up, which it sizes from the
+# largest block freed so far (a Monte Carlo noise slab); larger blocks
+# are given back to the OS and faulted in again on every block.
+_QUERY_BLOCK_VALUES = 120_000
 
 # Run-summary metrics a sweep row reports, in sweep CSV column order.
 SWEEP_METRICS = (

@@ -123,6 +123,17 @@ class TestEstimateCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--estimator", "massart"]) == 2
 
+    @pytest.mark.parametrize("estimator", ["gaussian", "rademacher"])
+    def test_draws_beyond_memory_exit_2(self, tmp_path, capsys, estimator):
+        # 10**15 draws ask for an 8 PB array of sups, which fails before any
+        # page is touched, even where memory is overcommitted
+        path = str(tmp_path / "matrix.csv")
+        FunctionValueMatrix(values=np.array([[1.0, 0.0], [0.0, 1.0]]), b=1.0).to_csv(path)
+        code = main(["estimate", "--input", path, "--estimator", estimator, "--draws", str(10 ** 15)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_runs_and_writes_csv(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -279,6 +280,19 @@ class TestMetaSample:
             assert b.shape == w.shape
         with pytest.raises(ValueError, match="first"):
             sample_episode_batches(ENV, count, 6, plan, first=-1)
+
+    def test_shaped_draw_holds_little_beyond_its_output(self):
+        # 100 default-shaped episodes: 1.3 MB of xs and ys; a gathered
+        # (n, m, d) prototype per point would add as much again
+        plan = [(100, (5, 15))]
+        sample_episode_batches(ENV, 100, 1, plan)
+        tracemalloc.start()
+        try:
+            (batch,) = sample_episode_batches(ENV, 100, 1, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (batch.xs.nbytes + batch.ys.nbytes)
 
     def test_shape_episodes(self):
         ms = sample_meta_sample(ENV, 3, 100, 8, shape=(5, 15))
