@@ -22,6 +22,7 @@ from .complexity import (
     episode_restrictions,
     entropy_integral,
     gaussian_complexity_mc,
+    gaussian_complexity_rowspace,
     greedy_epsilon_cover,
     massart_bound,
     rademacher_complexity_mc,

@@ -3,10 +3,11 @@
 A restricted class is stored as a matrix of function values: one row
 per scalar function (a trained scorer projected onto one class label),
 one column per sample point. On top of that matrix this module
-provides Monte Carlo Gaussian and Rademacher complexity, the Massart
-finite-class bound, greedy epsilon-covers under the data-dependent L2
-metric d(f, g) = sqrt(mean_j (f_j - g_j)^2), built for every scale in
-one first-fit pass over the rows, and the finite chaining (Dudley) bound.
+provides Monte Carlo Gaussian and Rademacher complexity (the Gaussian
+one also sampled in the row space), the Massart finite-class bound,
+greedy epsilon-covers under the data-dependent L2 metric
+d(f, g) = sqrt(mean_j (f_j - g_j)^2), built for every scale in one
+first-fit pass over the rows, and the finite chaining (Dudley) bound.
 
 All logarithms are natural.
 """
@@ -22,15 +23,15 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .core import EpisodeBatch
 from .learners import BaseLearner, FeatureFamily, require_fitted
 
-# Monte Carlo draws are taken 2**23 // n_points at a time: this chunk
-# width fixes which normals or signs feed which draw, not memory.
+# The direct Monte Carlo path takes draws 2**23 // n_points at a time: this
+# chunk width fixes which normals or signs feed which draw, not memory.
 _CHUNK_ELEMENTS = 1 << 23
 # Each chunk's noise is filled this many float64 entries (2 MB) at a time.
 _NOISE_SLAB = 1 << 18
@@ -259,16 +260,19 @@ def episode_restrictions(
     family: FeatureFamily,
     base_learner: BaseLearner,
     k: int,
-) -> list[Optional[FunctionValueMatrix]]:
+) -> list[Union[FunctionValueMatrix, Exception]]:
     """The restriction of each episode of the batch, as
     ``build_pi1f_restriction`` gives it for that episode as a batch of
-    one, from one batched fit per map;
-    None for an episode the base-learner failed on for some map."""
+    one, from one batched fit per map; for an episode the base-learner
+    failed on, the error that call would raise (the first failed map's),
+    unraised."""
     values, scorers, b, labels = _restriction_values(batch, family, base_learner, k)
-    failed = np.any([scorer.failed for scorer in scorers], axis=0)
-    return [None if failed[l] else
-            FunctionValueMatrix(values=np.ascontiguousarray(values[:, l]), b=b, labels=labels)
-            for l in range(batch.n)]
+    out = []
+    for l in range(batch.n):
+        failed = next((scorer for scorer in scorers if scorer.failed[l]), None)
+        out.append(failed.fit_error() if failed is not None else
+                   FunctionValueMatrix(values=np.ascontiguousarray(values[:, l]), b=b, labels=labels))
+    return out
 
 
 def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -301,27 +305,30 @@ def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
         np.negative(halves, out=rest)
 
 
-def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:
+def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, seed: int,
+                      gaussian: bool) -> ComplexityEstimate:
+    """Mean and standard error over draws of max_rows (2/n_points) <row, noise>,
+    for the rows of vals and noise i.i.d. N(0, 1) or +-1 per column of vals,
+    taken at most chunk draws at a time."""
     if draws < 2:
         raise ValueError("draws must be >= 2")
-    vals = A.values
-    n_pts = A.n_points
+    n_funcs, n_cols = vals.shape
     rng = np.random.default_rng(seed)
-    chunk = min(draws, max(1, _CHUNK_ELEMENTS // n_pts))
-    # a chunk's (n_pts, take) noise is point-major, so `rows` points at a
-    # time are the next contiguous run of the stream
-    rows = min(n_pts, max(1, _NOISE_SLAB // chunk))
+    chunk = min(draws, chunk)
+    # a chunk's (n_cols, take) noise holds one row per column of vals, so
+    # `rows` of them at a time are the next contiguous run of the stream
+    rows = min(n_cols, max(1, _NOISE_SLAB // chunk))
     # every slab and partial sum fills a C-contiguous prefix, as out= needs
     buffer = np.empty(rows * chunk)
-    sums = np.empty(A.n_functions * chunk)
-    parts = np.empty(A.n_functions * chunk) if rows < n_pts else None
+    sums = np.empty(n_funcs * chunk)
+    parts = np.empty(n_funcs * chunk) if rows < n_cols else None
     sups = np.empty(draws)
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
-        acc = sums[:A.n_functions * take].reshape(-1, take)
-        for p0 in range(0, n_pts, rows):
-            p1 = min(p0 + rows, n_pts)
+        acc = sums[:n_funcs * take].reshape(-1, take)
+        for p0 in range(0, n_cols, rows):
+            p1 = min(p0 + rows, n_cols)
             slab = buffer[:(p1 - p0) * take]
             if gaussian:
                 rng.standard_normal(out=slab)
@@ -335,20 +342,47 @@ def _sup_linear_forms(A: FunctionValueMatrix, draws: int, seed: int, gaussian: b
                 acc += np.matmul(vals[:, p0:p1], noise, out=part)
         sups[done:done + take] = acc.max(axis=0)
         done += take
-    sups *= 2.0 / n_pts
+    sups *= 2.0 / n_points
     mean = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(draws))
     return ComplexityEstimate(mean=mean, std_error=se, draws=draws)
 
 
+def _direct(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:
+    """One noise entry per (point, draw)."""
+    return _sup_linear_forms(A.values, A.n_points, max(1, _CHUNK_ELEMENTS // A.n_points), draws, seed, gaussian)
+
+
 def gaussian_complexity_mc(A: FunctionValueMatrix, draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
     """Monte Carlo estimate of E_g max_rows (2/M) <row, g>, g ~ N(0, I)."""
-    return _sup_linear_forms(A, draws, seed, gaussian=True)
+    return _direct(A, draws, seed, gaussian=True)
+
+
+def gaussian_complexity_rowspace(A: FunctionValueMatrix, draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
+    """The Monte Carlo estimate of ``gaussian_complexity_mc``, sampled in the
+    row space.
+
+    For g ~ N(0, I_M), A g ~ N(0, A A^T) (Bartlett & Mendelson 2002), so the
+    rows of F z, z ~ N(0, I_r), have the same joint law whenever
+    F F^T = A A^T. F (N x r) comes from ``eigh`` of the N x N Gram, with
+    round-off negative eigenvalues clipped to 0 and their columns dropped, and
+    each draw takes r <= N normals in place of M. The estimate has the same
+    distribution as ``gaussian_complexity_mc``'s but not its stream. When
+    M <= N that path is the cheaper one, and its result is returned unchanged.
+    """
+    if A.n_points <= A.n_functions:
+        return gaussian_complexity_mc(A, draws, seed)
+    lam, vecs = np.linalg.eigh(A.values @ A.values.T)  # eigenvalues ascending
+    r = max(1, int(np.count_nonzero(lam > 0)))
+    factor = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
+    # a chunk's (r, draws) noise and (N, draws) sums fit one noise slab together
+    chunk = max(1, _NOISE_SLAB // (r + A.n_functions))
+    return _sup_linear_forms(factor, A.n_points, chunk, draws, seed, gaussian=True)
 
 
 def rademacher_complexity_mc(A: FunctionValueMatrix, draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
     """Monte Carlo estimate with i.i.d. +-1 signs in place of Gaussians."""
-    return _sup_linear_forms(A, draws, seed, gaussian=False)
+    return _direct(A, draws, seed, gaussian=False)
 
 
 def massart_bound(A: FunctionValueMatrix) -> float:

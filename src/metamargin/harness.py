@@ -37,7 +37,7 @@ from .complexity import (
     build_pi1f_restriction,
     entropy_integral,
     episode_restrictions,
-    gaussian_complexity_mc,
+    gaussian_complexity_rowspace,
 )
 from .core import (
     EnvironmentSpec,
@@ -64,12 +64,13 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
 # Query-split test episodes are sampled, fitted and scored in blocks of
-# this many float64 input values (0.96 MB): 75 default-shaped episodes
+# this many float64 input values (0.64 MB): 50 default-shaped episodes
 # (m = 100, d_raw = 16). A block's transients must stay below the free
 # memory glibc's malloc keeps after set-up, which it sizes from the
-# largest block freed so far (a Monte Carlo noise slab); larger blocks
-# are given back to the OS and faulted in again on every block.
-_QUERY_BLOCK_VALUES = 120_000
+# largest block freed so far (on the default config, a meta-level
+# restriction's 1.6 MB of values); larger blocks are given back to the
+# OS and faulted in again on every block, as 60-episode blocks are.
+_QUERY_BLOCK_VALUES = 80_000
 
 # Run-summary metrics a sweep row reports, in sweep CSV column order.
 SWEEP_METRICS = (
@@ -190,9 +191,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "test_points_per_task", "outer_task_draws", "outer_meta_draws",
-                     "mc_draws", "dudley_levels", "test_episodes", "workers"):
+                     "dudley_levels", "test_episodes", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.mc_draws < 2:  # a standard error needs two draws
+            raise ValueError("mc_draws must be >= 2")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.environment.k != self.bound.k:
@@ -327,7 +330,11 @@ def query_split_accuracy(
 class ExpectedComplexities:
     """Environment-level complexity inputs, averaged over outer draws.
 
-    The ``*_se`` fields are the Monte Carlo standard errors of the two
+    Each Gaussian complexity is sampled in the row space
+    (``gaussian_complexity_rowspace``): the same distribution as
+    ``gaussian_complexity_mc``'s, but another random stream, so it differs
+    from ``estimate --estimator gaussian`` on the same matrix. The
+    ``*_se`` fields are the Monte Carlo standard errors of the two
     Gaussian means, sqrt(sum of the draws' squared standard errors) / K
     over the K draws that succeeded; they are reported, never bounded on.
     """
@@ -340,37 +347,43 @@ class ExpectedComplexities:
     gamma_task_se: float
 
 
-def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFamily,
-                                   base_learner: BaseLearner, seed: int) -> ExpectedComplexities:
+def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFamily, base_learner: BaseLearner,
+                                   seed: int) -> tuple[ExpectedComplexities, dict[str, dict[str, int]]]:
     """Average complexity inputs over fresh outer draws.
 
     Draws where a learner fails (e.g. a class missing from an i.i.d.
     episode) are skipped; at least one draw must succeed per level. The
-    single-task draws are fitted as one batch.
+    single-task draws are fitted as one batch. Also returns the skipped
+    draws of each level by exception type, as ``failed_outer_draws_task``
+    and ``failed_outer_draws_meta``.
     """
     env, bound = config.environment, config.bound
 
     def complexities(A: FunctionValueMatrix, mc_seed: int) -> tuple[float, float, float]:
         """max(0, Gaussian complexity), entropy integral and the Gaussian
         complexity's standard error, of one restriction."""
-        gamma = gaussian_complexity_mc(A, config.mc_draws, mc_seed)
+        gamma = gaussian_complexity_rowspace(A, config.mc_draws, mc_seed)
         return max(0.0, gamma.mean), entropy_integral(A, config.dudley_levels), gamma.std_error
 
     policy = SeedPolicy(seed)
     task_root = SeedPolicy(policy.child(0))
     tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, task_root.master_seed,
                                config.episode_shape)
-    task = [complexities(A, SeedPolicy(task_root.child(j)).child(2))
-            for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k))
-            if A is not None]
+    task, task_failures = [], Counter()
+    for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k)):
+        if isinstance(A, Exception):
+            task_failures[type(A).__name__] += 1
+        else:
+            task.append(complexities(A, SeedPolicy(task_root.child(j)).child(2)))
     meta_root = SeedPolicy(policy.child(1))
-    meta = []
+    meta, meta_failures = [], Counter()
     for j in range(config.outer_meta_draws):
         unit = SeedPolicy(meta_root.child(j))
         try:
             batch = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
             A = build_pi1f_restriction(batch, family, base_learner, bound.k)
-        except (ValueError, NumericError):
+        except (ValueError, NumericError) as exc:
+            meta_failures[type(exc).__name__] += 1
             continue
         meta.append(complexities(A, unit.child(1)))
     if not task or not meta:
@@ -385,9 +398,11 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
 
     gamma_task, entropy_task, gamma_task_se = level(task)
     gamma_meta, entropy_meta, gamma_meta_se = level(meta)
-    return ExpectedComplexities(gamma_meta=gamma_meta, gamma_task=gamma_task,
-                                entropy_meta=entropy_meta, entropy_task=entropy_task,
-                                gamma_meta_se=gamma_meta_se, gamma_task_se=gamma_task_se)
+    expected = ExpectedComplexities(gamma_meta=gamma_meta, gamma_task=gamma_task,
+                                    entropy_meta=entropy_meta, entropy_task=entropy_task,
+                                    gamma_meta_se=gamma_meta_se, gamma_task_se=gamma_task_se)
+    return expected, {"failed_outer_draws_task": dict(sorted(task_failures.items())),
+                      "failed_outer_draws_meta": dict(sorted(meta_failures.items()))}
 
 
 @dataclass(frozen=True)
@@ -478,12 +493,14 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     Failed trials are dropped from the rows and from frequency
     denominators but counted in the summary, in total and by exception
     type (``failed_by_reason``). If every trial fails, NumericError is
-    raised with those counts.
+    raised with those counts. The summary also counts, by exception type,
+    the outer draws that set-up skipped at each level
+    (``failed_outer_draws_task`` and ``failed_outer_draws_meta``).
     """
     root = SeedPolicy(config.seed)
     family = build_family(config.family, config.environment.d_raw, root.child(0))
     base_learner = make_base_learner(config.learner, config.bound.rho, config.bound.b)
-    expected = estimate_expected_complexities(config, family, base_learner, root.child(2))
+    expected, outer_failures = estimate_expected_complexities(config, family, base_learner, root.child(2))
     trials_root = SeedPolicy(root.child(1))
 
     def run(t: int) -> ResultRow | str:
@@ -508,6 +525,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
         "trials": config.trials,
         "failed_trials": config.trials - len(rows),
         "failed_by_reason": reasons,
+        **outer_failures,
         "expected_complexities": asdict(expected),
     }
     for kind in BOUND_KINDS:

@@ -32,6 +32,7 @@ from metamargin.complexity import (
     dudley_bound,
     entropy_integral,
     gaussian_complexity_mc,
+    gaussian_complexity_rowspace,
     greedy_epsilon_cover,
     massart_bound,
     rademacher_complexity_mc,
@@ -603,14 +604,19 @@ def test_multi_slab_chunks_match_one_matmul(estimator):
     assert est.std_error == pytest.approx(std_error, rel=1e-12)
 
 
-@pytest.mark.parametrize("estimator", MC_ESTIMATORS)
-def test_monte_carlo_memory_stays_within_one_noise_slab(estimator):
+@pytest.mark.parametrize("estimator, draws", [
+    *(pytest.param(estimator, 2000, id=estimator.__name__) for estimator in MC_ESTIMATORS),
+    (gaussian_complexity_rowspace, 100_000),
+])
+def test_monte_carlo_memory_stays_within_one_noise_slab(estimator, draws):
     # one 2 MB slab, the 1 MB of 32-bit words of its signs and two 0.5 MB
-    # (functions, draws) partial sums; a whole noise chunk would be about 67 MB
+    # (functions, draws) partial sums; a whole noise chunk would be about 67 MB.
+    # In the row space a chunk's noise and sums share one slab, and 100,000
+    # draws take 31 chunks and 0.8 MB of per-draw maxima
     A = FunctionValueMatrix(values=np.random.default_rng(3).uniform(-1, 1, size=(40, 5000)), b=1.0)
     tracemalloc.start()
     try:
-        estimator(A, 2000, 0)
+        estimator(A, draws, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -650,6 +656,47 @@ class TestGaussianComplexity:
         A = FunctionValueMatrix(values=np.ones((1, 1)), b=1.0)
         with pytest.raises(ValueError):
             gaussian_complexity_mc(A, 1, 0)
+
+
+ROW_KINDS = st.sampled_from(["random", "zero", "duplicate", "collinear"])
+
+
+@given(st.lists(ROW_KINDS, min_size=1, max_size=12), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=50, derandomize=True)
+def test_rowspace_mean_matches_the_direct_path(kinds, extra_points, seed):
+    # N < M rows, each random, zero, a copy of an earlier row or a scaled one
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1, 1, size=(len(kinds), len(kinds) + extra_points))
+    for i, kind in enumerate(kinds):
+        if kind == "zero" or (kind != "random" and i == 0):
+            vals[i] = 0.0
+        elif kind != "random":
+            vals[i] = vals[rng.integers(i)] * (1.0 if kind == "duplicate" else rng.uniform(-1, 1))
+    A = FunctionValueMatrix(values=vals, b=1.0)
+    row, direct = gaussian_complexity_rowspace(A, 2000, seed), gaussian_complexity_mc(A, 2000, seed)
+    assert row.draws == 2000
+    assert abs(row.mean - direct.mean) <= 4.0 * math.hypot(row.std_error, direct.std_error)
+
+
+def test_rowspace_closed_form_two_basis_rows():
+    # E max(g1, g2) = 1/sqrt(pi), scaled by 2/M at M = 3 points
+    A = FunctionValueMatrix(values=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b=1.0)
+    est = gaussian_complexity_rowspace(A, 100_000, 7)
+    assert abs(est.mean - 2.0 / 3.0 / math.sqrt(math.pi)) <= 4 * est.std_error
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (40, 40), (320, 100)])
+def test_rowspace_is_the_direct_path_when_points_do_not_outnumber_rows(shape):
+    A = FunctionValueMatrix(values=np.random.default_rng(8).uniform(-1, 1, size=shape), b=1.0)
+    assert gaussian_complexity_rowspace(A, 500, 9) == gaussian_complexity_mc(A, 500, 9)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2)])
+@pytest.mark.parametrize("draws", [1, 0, -3])
+def test_rowspace_needs_two_draws(shape, draws):
+    A = FunctionValueMatrix(values=np.ones(shape), b=1.0)
+    with pytest.raises(ValueError, match="draws must be >= 2"):
+        gaussian_complexity_rowspace(A, draws, 0)
 
 
 class TestRademacherComplexity:

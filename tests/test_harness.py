@@ -19,11 +19,13 @@ from metamargin.complexity import (
     dudley_bound,
     entropy_integral,
     gaussian_complexity_mc,
+    gaussian_complexity_rowspace,
     massart_bound,
 )
 from metamargin.core import (
     EnvironmentSpec,
     EpisodeBatch,
+    SeedPolicy,
     sample_episode,
     sample_episode_batches,
     sample_kway_sshot_episode,
@@ -158,7 +160,8 @@ class TestBoundValidity:
                             lambda *args: replace(gaussian(*args), total=next(totals)))
         rows, summary = bound_validity_experiment(small_config(trials=2))
         assert list(summary) == [
-            "trials", "failed_trials", "failed_by_reason", "expected_complexities",
+            "trials", "failed_trials", "failed_by_reason", "failed_outer_draws_task",
+            "failed_outer_draws_meta", "expected_complexities",
             *(f"{name}_{kind}" for kind in BOUND_KINDS
               for name in ("hold_freq", "mean_bound", "vacuous_freq")),
             "mean_avg_empirical_loss", "mean_transfer_risk",
@@ -201,12 +204,33 @@ class TestBoundValidity:
         _, clean = bound_validity_experiment(small_config())
         assert clean["failed_trials"] == 0 and clean["failed_by_reason"] == {}
 
+    def test_failed_outer_draws_match_a_recount(self):
+        # i.i.d. 8-point episodes of 3 classes: a nearest-centroid fit fails
+        # on a task draw that misses a class, and on a meta draw of which any
+        # episode does. The recount redraws set-up's samples from its seeds.
+        config = replace(unsplit_config(m=8, n=3, trials=3), seed=8)
+        env, bound = config.environment, config.bound
+        setup = SeedPolicy(SeedPolicy(config.seed).child(2))
+        missing = lambda ys: len(np.unique(ys)) < env.k
+        tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, setup.child(0))
+        task_failed = sum(map(missing, tasks.ys))
+        meta_root = SeedPolicy(setup.child(1))
+        meta_failed = sum(any(map(missing, sample_meta_sample(
+            env, bound.n, bound.m, SeedPolicy(meta_root.child(j)).child(0)).ys))
+            for j in range(config.outer_meta_draws))
+        assert 0 < task_failed < config.outer_task_draws and 0 < meta_failed < config.outer_meta_draws
+        _, summary = bound_validity_experiment(config)
+        assert summary["failed_outer_draws_task"] == {"ValueError": task_failed}
+        assert summary["failed_outer_draws_meta"] == {"ValueError": meta_failed}
+        _, clean = bound_validity_experiment(small_config())
+        assert clean["failed_outer_draws_task"] == {} and clean["failed_outer_draws_meta"] == {}
+
     def test_summary_reports_gaussian_standard_errors(self, monkeypatch):
         def run_with(std_errors):
             """The experiment with each outer draw's Gaussian standard error
             taken in turn from std_errors: 4 task draws, then 2 meta draws."""
             errors = iter(std_errors)
-            monkeypatch.setattr(harness, "gaussian_complexity_mc", lambda A, draws, seed:
+            monkeypatch.setattr(harness, "gaussian_complexity_rowspace", lambda A, draws, seed:
                                 ComplexityEstimate(mean=0.01, std_error=next(errors), draws=draws))
             return bound_validity_experiment(small_config())
 
@@ -271,7 +295,7 @@ class TestResultCsv:
         path = tmp_path / "results.csv"
         write_result_rows(rows, str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "d3da4efe8a79531be28ce54dccbd390c32658275afd23d9bb6a64efeed3cac45"
+        assert digest == "689ef1d984e14610b59db8045aab8b6ad0fffca8f565240b8d3e45f6cded8821"
 
 
 class TestSweep:
@@ -359,16 +383,16 @@ class TestPairedBoundInequalities:
     def test_gaussian_means_within_massart_and_dudley_on_run_restrictions(self, monkeypatch):
         # Every restriction a default run builds, from episode_restrictions
         # (task level) and build_pi1f_restriction (meta level), goes through
-        # gaussian_complexity_mc once: its Monte Carlo mean may exceed the
+        # gaussian_complexity_rowspace once: its Monte Carlo mean may exceed the
         # Massart and Dudley upper bounds by at most 4 standard errors.
         seen = []
 
         def recording(A, draws, seed):
-            estimate = gaussian_complexity_mc(A, draws, seed)
+            estimate = gaussian_complexity_rowspace(A, draws, seed)
             seen.append((A, estimate))
             return estimate
 
-        monkeypatch.setattr(harness, "gaussian_complexity_mc", recording)
+        monkeypatch.setattr(harness, "gaussian_complexity_rowspace", recording)
         config = ExperimentConfig.from_json(json.loads((CONFIGS / "default.json").read_text()))
         bound_validity_experiment(replace(config, trials=1))
         assert len(seen) == config.outer_task_draws + config.outer_meta_draws

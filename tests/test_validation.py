@@ -204,6 +204,15 @@ def test_config_missing_required_key_is_a_value_error(path, message):
         ExperimentConfig.from_json(_config_data(path, delete=True))
 
 
+@pytest.mark.parametrize("draws", [1, 0])
+def test_config_needs_two_monte_carlo_draws(draws):
+    # a standard error needs two draws; set-up would otherwise fail later
+    with pytest.raises(ValueError, match="mc_draws must be >= 2"):
+        ExperimentConfig.from_json(_config_data(("mc_draws",), draws))
+    config = ExperimentConfig.from_json(_config_data(("mc_draws",), 2))
+    assert config.mc_draws == 2
+
+
 def test_config_accepts_json_numbers_of_either_kind_and_null_optionals():
     config = ExperimentConfig.from_json(_config_data(("bound", "rho"), 1))
     assert config.bound.rho == 1.0 and isinstance(config.bound.rho, float)
