@@ -35,8 +35,6 @@ from .learners import BaseLearner, FeatureFamily, require_fitted
 _CHUNK_ELEMENTS = 1 << 23
 # Each chunk's noise is filled this many float64 entries (2 MB) at a time.
 _NOISE_SLAB = 1 << 18
-# Rademacher signs are drawn this many 32-bit halves (4 MB of raw words) at a time.
-_SIGN_SLAB = 1 << 20
 _SCALE_BLOCK = 64  # greedy covers are built for at most this many scales per pass
 # A parsed matrix CSV's sidecar: this line, a JSON header line, the CSV's bytes and, from the
 # next multiple of 8 bytes, the values as little-endian float64. Bump it if layout or parse change.
@@ -275,36 +273,6 @@ def episode_restrictions(
     return out
 
 
-def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill the flat float64 array out with i.i.d. +-1 signs, the values
-    ``rng.integers(0, 2, size=out.size) * 2.0 - 1.0`` would give, and leave
-    rng as that call would.
-
-    At range 2, numpy's 32-bit Lemire path never rejects, so each sign
-    is the top bit of one 32-bit draw (1 -> +1). PCG64 gives those draws
-    as the low, then the high half of each raw 64-bit word, buffering an
-    unused high half between calls; each slab does the same by hand.
-    """
-    bitgen = rng.bit_generator
-    for start in range(0, out.size, _SIGN_SLAB):
-        slab = out[start:start + _SIGN_SLAB]
-        state = bitgen.state
-        buffered = state["has_uint32"]
-        if buffered:
-            slab[0] = 1.0 if state["uinteger"] >> 31 else -1.0
-        rest = slab[buffered:]
-        words = bitgen.random_raw((rest.size + 1) // 2)
-        state = bitgen.state
-        state["has_uint32"] = rest.size % 2
-        if rest.size:  # as numpy leaves it, even when no half is buffered
-            state["uinteger"] = int(words[-1] >> 32)
-        bitgen.state = state
-        halves = words.astype("<u8", copy=False).view("<i4")[:rest.size]
-        halves >>= 31  # -1 where the top bit is set, else 0
-        halves |= 1
-        np.negative(halves, out=rest)
-
-
 def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, seed: int,
                       gaussian: bool) -> ComplexityEstimate:
     """Mean and standard error over draws of max_rows (2/n_points) <row, noise>,
@@ -327,13 +295,18 @@ def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, s
     while done < draws:
         take = min(chunk, draws - done)
         acc = sums[:n_funcs * take].reshape(-1, take)
+        if not gaussian:  # sign i of a chunk is bit i % 64 of its raw word i // 64 (1 -> +1)
+            words = rng.bit_generator.random_raw(-(-n_cols * take // 64)).astype("<u8", copy=False).view(np.uint8)
         for p0 in range(0, n_cols, rows):
             p1 = min(p0 + rows, n_cols)
             slab = buffer[:(p1 - p0) * take]
             if gaussian:
                 rng.standard_normal(out=slab)
-            else:
-                _fill_signs(rng, slab)
+            else:  # only the slab's own bits, freed before the next slab's are unpacked
+                skip = p0 * take % 8
+                np.multiply(np.unpackbits(words[p0 * take // 8:], count=skip + slab.size, bitorder="little")[skip:],
+                            2.0, out=slab)
+                slab -= 1.0
             noise = slab.reshape(p1 - p0, take)
             if p0 == 0:
                 np.matmul(vals[:, p0:p1], noise, out=acc)
@@ -342,6 +315,7 @@ def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, s
                 acc += np.matmul(vals[:, p0:p1], noise, out=part)
         sups[done:done + take] = acc.max(axis=0)
         done += take
+        words = None  # freed before the next chunk's words are drawn
     sups *= 2.0 / n_points
     mean = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(draws))
@@ -381,7 +355,7 @@ def gaussian_complexity_rowspace(A: FunctionValueMatrix, draws: int = 2000, seed
 
 
 def rademacher_complexity_mc(A: FunctionValueMatrix, draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
-    """Monte Carlo estimate with i.i.d. +-1 signs in place of Gaussians."""
+    """Monte Carlo estimate with i.i.d. +-1 signs, one bit of a raw generator word each, in place of Gaussians."""
     return _direct(A, draws, seed, gaussian=False)
 
 

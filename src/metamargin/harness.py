@@ -9,8 +9,8 @@ compare against the four bound evaluations. Expected complexity inputs
 are estimated once per run by averaging over fresh outer draws and
 shared across trials, matching the bounds' expectation form.
 
-Trials are independent units seeded by per-trial derived seeds, so
-output files are byte-identical across runs and worker counts.
+Per-trial derived seeds make output files byte-identical across runs and
+worker counts while ``record_timing`` is off (``elapsed_ms`` is wall time).
 """
 
 from __future__ import annotations
@@ -490,11 +490,11 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     """Run all trials; returns rows in trial order plus a summary with
     the hold frequency per bound kind.
 
-    Failed trials are dropped from the rows and from frequency
-    denominators but counted in the summary, in total and by exception
-    type (``failed_by_reason``). If every trial fails, NumericError is
-    raised with those counts. The summary also counts, by exception type,
-    the outer draws that set-up skipped at each level
+    Failed trials are dropped from the rows and from frequency denominators,
+    except that ``hold_freq_<kind>_attempted`` counts them as not held, and
+    are counted in total and by exception type (``failed_by_reason``); if
+    all fail, NumericError is raised with those counts. The summary also
+    counts the outer draws set-up skipped, by exception type, at each level
     (``failed_outer_draws_task`` and ``failed_outer_draws_meta``).
     """
     root = SeedPolicy(config.seed)
@@ -531,6 +531,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     for kind in BOUND_KINDS:
         flags = [getattr(r, f"holds_{kind}") for r in rows]
         summary[f"hold_freq_{kind}"] = sum(flags) / len(rows)
+        summary[f"hold_freq_{kind}_attempted"] = sum(flags) / config.trials  # a failed trial does not hold
         bounds = [getattr(r, f"bound_{kind}") for r in rows]
         summary[f"mean_bound_{kind}"] = float(np.mean(bounds))
         summary[f"vacuous_freq_{kind}"] = sum(bound >= 1.0 for bound in bounds) / len(rows)

@@ -8,6 +8,7 @@ outcomes are reproducible runs of the shipped configurations.
 import json
 import math
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -245,7 +246,7 @@ def test_criterion_10_simulate_determinism(tmp_path, capsys):
     code1 = cli_main(["simulate", "--config", str(cfg_path), "--output", out1, "--workers", "1"])
     code2 = cli_main(["simulate", "--config", str(cfg_path), "--output", out2, "--workers", "4"])
     capsys.readouterr()
-    identical = open(out1, "rb").read() == open(out2, "rb").read()
+    identical = Path(out1).read_bytes() == Path(out2).read_bytes()
     ok = code1 == 0 and code2 == 0 and identical
     assert report(10, "simulate determinism", ok,
                   f"byte-identical CSVs across 1 vs 4 workers: {identical}")

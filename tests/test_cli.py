@@ -142,7 +142,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", out]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["trials"] == 2
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 3  # header + 2 trials
 
     def test_byte_identical_across_worker_counts(self, tmp_path, capsys):
@@ -150,14 +150,14 @@ class TestSimulateCommand:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", "--config", cfg, "--output", out1, "--workers", "1"]) == 0
         assert main(["simulate", "--config", cfg, "--output", out2, "--workers", "3"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_seed_flag_changes_results(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", "--config", cfg, "--output", out1]) == 0
         assert main(["simulate", "--config", cfg, "--output", out2, "--seed", "999"]) == 0
-        assert open(out1, "rb").read() != open(out2, "rb").read()
+        assert Path(out1).read_bytes() != Path(out2).read_bytes()
 
     def test_env_seed_is_ignored(self, tmp_path, capsys, monkeypatch):
         # METAMARGIN_SEED is not a seed source: a seedless config and a
@@ -249,7 +249,7 @@ class TestSweepCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "4,6", "--output", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "n"
 

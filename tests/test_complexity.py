@@ -22,8 +22,6 @@ from conftest import ConstantScorer
 from metamargin.cli import main
 from metamargin.complexity import (
     _COMPARE_BLOCK,
-    _SIGN_SLAB,
-    _fill_signs,
     _greedy_covers,
     _normalized_sq_dists,
     ComplexityEstimate,
@@ -495,8 +493,11 @@ class TestMatrixCsvSidecar:
 def chunked_reference(A, draws, seed, estimator, rows=None):
     """(mean, std_error) of ``estimator(A, draws, seed)`` written out: noise
     from default_rng(seed) in chunks of 2**23 // n_points draws, each chunk
-    point-major and taken in one matmul, or, given ``rows``, drawn and
-    multiplied ``rows`` points at a time with the products summed in order."""
+    point-major and taken in one matmul, or, given ``rows``, multiplied
+    ``rows`` points at a time with the products summed in order. Gaussian
+    noise is drawn ``rows`` points at a time; a chunk of d draws takes its
+    signs from bits 0 to 63 of each of its ceil(n_points * d / 64) raw words
+    in turn, 1 -> +1."""
     vals = A.values
     n_pts = A.n_points
     chunk = min(draws, max(1, (1 << 23) // n_pts))
@@ -505,13 +506,17 @@ def chunked_reference(A, draws, seed, estimator, rows=None):
     sups = []
     for done in range(0, draws, chunk):
         take = min(chunk, draws - done)
+        if estimator is not gaussian_complexity_mc:
+            words = rng.bit_generator.random_raw(-(-n_pts * take // 64))
+            bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+            signs = (bits.ravel()[:n_pts * take] * 2.0 - 1.0).reshape(n_pts, take)
         acc = 0.0
         for p0 in range(0, n_pts, rows):
             size = (min(p0 + rows, n_pts) - p0, take)
             if estimator is gaussian_complexity_mc:
                 noise = rng.standard_normal(size=size)
             else:
-                noise = rng.integers(0, 2, size=size) * 2.0 - 1.0
+                noise = signs[p0:p0 + rows]
             acc = acc + vals[:, p0:p0 + rows] @ noise
         sups.append(acc.max(axis=0))
     sups = np.concatenate(sups) * (2.0 / n_pts)
@@ -533,7 +538,7 @@ PINNED_EYE = FunctionValueMatrix(values=np.eye(2), b=1.0)
     (PINNED_WIDE, gaussian_complexity_mc, None, None),
     (PINNED_WIDE, rademacher_complexity_mc, None, None),
     (PINNED_EYE, gaussian_complexity_mc, 0.5765288975077831, 0.018281878688140338),
-    (PINNED_EYE, rademacher_complexity_mc, 0.524, 0.019049762379708617),
+    (PINNED_EYE, rademacher_complexity_mc, 0.506, 0.019291658405694957),
 ])
 def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
     if A is PINNED_WIDE:
@@ -543,40 +548,20 @@ def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
 
 
 def test_rademacher_stream_with_odd_chunks():
-    # 5,001 columns give chunks of 1,677 and 323 draws, each an odd
-    # number of signs, so the second chunk, and each of its slabs of an
-    # even number of signs, starts on the generator's buffered half-word
+    # 5,001 columns give chunks of 1,677 and 323 draws, each an odd number
+    # of signs, not a multiple of 64: each chunk drops the spare bits of its
+    # last word, and the next chunk starts on a fresh word
     A = FunctionValueMatrix(values=np.random.default_rng(2025).uniform(-1, 1, size=(3, 5001)), b=1.0)
     est = rademacher_complexity_mc(A, 2000, 11)
     assert (est.mean, est.std_error) == chunked_reference(A, 2000, 11, rademacher_complexity_mc, rows=156)
 
 
-@pytest.mark.parametrize("buffered", [False, True])
-def test_fill_signs_matches_integers(buffered):
-    # odd and even sizes, within one slab and across a slab boundary; with
-    # buffered, the first fill starts on the generator's buffered half-word
-    ours, reference = np.random.default_rng(12), np.random.default_rng(12)
-    if buffered:
-        for rng in (ours, reference):
-            rng.integers(0, 1 << 32, dtype=np.uint32)
-    for size in [1, 3, _SIGN_SLAB - 1, _SIGN_SLAB + 1]:
-        out = np.empty(size)
-        _fill_signs(ours, out)
-        assert out.tobytes() == (reference.integers(0, 2, size) * 2.0 - 1.0).tobytes()
-    assert ours.bit_generator.state == reference.bit_generator.state
-    assert np.array_equal(ours.integers(0, 1 << 32, 9, dtype=np.uint32),
-                          reference.integers(0, 1 << 32, 9, dtype=np.uint32))
-
-
-def test_rademacher_memory_stays_within_one_noise_chunk():
-    A = FunctionValueMatrix(values=np.random.default_rng(3).uniform(-1, 1, size=(40, 5000)), b=1.0)
-    tracemalloc.start()
-    try:
-        rademacher_complexity_mc(A, 2000, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (1 << 23) + (16 << 20)
+def test_rademacher_slabs_start_at_every_bit_of_a_byte():
+    # 4,000 columns give chunks of 2,097 and 403 draws and slabs of 125
+    # points, so slab j of a chunk starts at bit 5j % 8, or 7j % 8, of a byte
+    A = FunctionValueMatrix(values=np.random.default_rng(2026).uniform(-1, 1, size=(3, 4000)), b=1.0)
+    est = rademacher_complexity_mc(A, 2500, 13)
+    assert (est.mean, est.std_error) == chunked_reference(A, 2500, 13, rademacher_complexity_mc, rows=125)
 
 
 MC_ESTIMATORS = [gaussian_complexity_mc, rademacher_complexity_mc]
@@ -609,8 +594,9 @@ def test_multi_slab_chunks_match_one_matmul(estimator):
     (gaussian_complexity_rowspace, 100_000),
 ])
 def test_monte_carlo_memory_stays_within_one_noise_slab(estimator, draws):
-    # one 2 MB slab, the 1 MB of 32-bit words of its signs and two 0.5 MB
-    # (functions, draws) partial sums; a whole noise chunk would be about 67 MB.
+    # one 2 MB slab and two 0.5 MB (functions, draws) partial sums, and for
+    # signs a chunk's 1 MiB of raw words plus one slab's 0.25 MiB of unpacked
+    # bits; a whole noise chunk would be about 67 MB.
     # In the row space a chunk's noise and sums share one slab, and 100,000
     # draws take 31 chunks and 0.8 MB of per-draw maxima
     A = FunctionValueMatrix(values=np.random.default_rng(3).uniform(-1, 1, size=(40, 5000)), b=1.0)

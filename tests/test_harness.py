@@ -162,8 +162,8 @@ class TestBoundValidity:
         assert list(summary) == [
             "trials", "failed_trials", "failed_by_reason", "failed_outer_draws_task",
             "failed_outer_draws_meta", "expected_complexities",
-            *(f"{name}_{kind}" for kind in BOUND_KINDS
-              for name in ("hold_freq", "mean_bound", "vacuous_freq")),
+            *(name for kind in BOUND_KINDS for name in (
+                f"hold_freq_{kind}", f"hold_freq_{kind}_attempted", f"mean_bound_{kind}", f"vacuous_freq_{kind}")),
             "mean_avg_empirical_loss", "mean_transfer_risk",
             "mean_test_accuracy", "test_accuracy_se",
         ]
@@ -199,10 +199,16 @@ class TestBoundValidity:
         assert summary["failed_trials"] == 3 and summary["failed_by_reason"] == {"ValueError": 3}
         path = str(tmp_path / "rows.csv")
         write_result_rows(rows, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 1 + 3  # the reasons stay out of the CSV
+        for kind in BOUND_KINDS:
+            held = sum(getattr(r, f"holds_{kind}") for r in rows)
+            assert summary[f"hold_freq_{kind}"] == held / 3
+            assert summary[f"hold_freq_{kind}_attempted"] == held / 6  # a failed trial does not hold
         _, clean = bound_validity_experiment(small_config())
         assert clean["failed_trials"] == 0 and clean["failed_by_reason"] == {}
+        for kind in BOUND_KINDS:
+            assert clean[f"hold_freq_{kind}_attempted"] == clean[f"hold_freq_{kind}"]
 
     def test_failed_outer_draws_match_a_recount(self):
         # i.i.d. 8-point episodes of 3 classes: a nearest-centroid fit fails
@@ -258,7 +264,7 @@ class TestResultCsv:
         assert len(parsed) == len(rows)
         second = str(tmp_path / "rows2.csv")
         write_result_rows(parsed, second)
-        assert open(path, "rb").read() == open(second, "rb").read()
+        assert Path(path).read_bytes() == Path(second).read_bytes()
 
     def test_header_matches_contract(self, tmp_path):
         path = str(tmp_path / "rows.csv")
@@ -270,7 +276,7 @@ class TestResultCsv:
             "test_accuracy,vacuous_vc,elapsed_ms"
         )
         assert CSV_HEADER == expected
-        assert open(path).read() == expected + "\n"
+        assert Path(path).read_text() == expected + "\n"
 
     def test_sweep_header_matches_contract(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
@@ -282,7 +288,7 @@ class TestResultCsv:
             "hold_freq_gaussian,hold_freq_covering,hold_freq_surrogate,error"
         )
         assert SWEEP_CSV_HEADER == expected
-        assert open(path).read() == expected + "\n"
+        assert Path(path).read_text() == expected + "\n"
 
 
     def test_default_run_csv_is_pinned(self, tmp_path):
@@ -330,13 +336,13 @@ class TestSweep:
         assert rows[0]["error"] == "all 3 trials failed (ValueError: 3)"
         path = str(tmp_path / "sweep.csv")
         write_sweep_rows(rows, path)
-        line = open(path, newline="").read().split("\n")[1]
+        line = Path(path).read_bytes().decode().split("\n")[1]
         assert line == "n,3,error,0" + "," * 12 + "all 3 trials failed (ValueError: 3)"
 
     def test_error_text_stays_on_one_row(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
         write_sweep_rows([{"axis": "n", "value": 0, "status": "error", "error": "a\nb,c\r\nd"}], path)
-        lines = open(path, newline="").read().split("\n")
+        lines = Path(path).read_bytes().decode().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER and lines[2:] == [""]
         fields = lines[1].split(",")
         assert len(fields) == len(SWEEP_CSV_HEADER.split(",")) and fields[-1] == "a b;c  d"
