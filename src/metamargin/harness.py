@@ -48,6 +48,7 @@ from .core import (
     sample_meta_sample,
 )
 from .learners import (
+    DEFAULT_NORM_CAP,
     BaseLearner,
     FeatureFamily,
     FeatureMap,
@@ -63,13 +64,13 @@ from .losses import LOSS_KINDS, margin_loss_array, margin_terms
 
 LEARNER_KINDS = ("nearest_centroid", "linear_multimargin", "linear_softmax")
 SWEEP_AXES = ("n", "m", "rho", "s")
-# Query-split test episodes are sampled, fitted and scored in blocks of
-# this many float64 input values (0.64 MB): 50 default-shaped episodes
-# (m = 100, d_raw = 16). A block's transients must stay below the free
-# memory glibc's malloc keeps after set-up, which it sizes from the
-# largest block freed so far (on the default config, a meta-level
-# restriction's 1.6 MB of values); larger blocks are given back to the
-# OS and faulted in again on every block, as 60-episode blocks are.
+# Both fresh-episode evaluators (transfer risk and query-split accuracy)
+# sample, fit and score in blocks of this many float64 input values
+# (0.64 MB): 50 default-shaped query episodes (m = 100, d_raw = 16). A
+# block's transients must stay below the free memory glibc's malloc keeps
+# after set-up, which it sizes from the largest block freed so far (on the
+# default config, a meta-level restriction's 1.6 MB of values); larger
+# blocks are given back to the OS and faulted in again on every block.
 _QUERY_BLOCK_VALUES = 80_000
 
 # Run-summary metrics a sweep row reports, in sweep CSV column order.
@@ -149,7 +150,7 @@ class FamilySpec:
 
     d: int
     groups: tuple[FamilyGroup, ...]
-    norm_cap: float = 1e6
+    norm_cap: float = DEFAULT_NORM_CAP
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,6 @@ class ExperimentConfig:
             if self.bound.m != shape.m(self.bound.k):
                 raise ValueError(f"bound.m={self.bound.m} must equal k*(s+q)={shape.m(self.bound.k)}")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         """Read a config object; unknown keys and mistyped values raise
@@ -249,6 +247,31 @@ class TransferRiskEstimate:
     failures: int
 
 
+def _mean_se(values) -> tuple[float, float]:
+    """The mean of ``values`` and its standard error (0 for one value)."""
+    v = np.asarray(values, dtype=np.float64)
+    return float(v.mean()), (float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0)
+
+
+def _fresh_episode_scores(env: EnvironmentSpec, phi: FeatureMap, base_learner: BaseLearner,
+                          count: int, seed: int, plan: list):
+    """Fit and score the ``count`` units ``sample_episode_batches`` draws from
+    ``seed`` and ``plan`` in blocks of at most ``_QUERY_BLOCK_VALUES`` input
+    values (one unit at least): fit each unit's first episode with phi and
+    score the query portion of its last. Yields per block the fitted units'
+    indices, scores, labels and hits; none of them depends on the block."""
+    block = max(1, _QUERY_BLOCK_VALUES // (sum(m for m, _ in plan) * env.d_raw))
+    for a in range(0, count, block):
+        batches = sample_episode_batches(env, min(block, count - a), seed, plan, first=a)
+        scorer = base_learner(batches[0], phi)
+        qx, qy = batches[-1].query()
+        ok = ~scorer.failed
+        if not ok.all():  # masking copies, so only when some unit failed
+            scorer, qx, qy = scorer[ok], qx[ok], qy[ok]
+        scores = scorer.scores_matrix(qx)
+        yield a + np.flatnonzero(ok), scores, qy, scores.argmax(axis=-1) + 1 == qy
+
+
 def estimate_transfer_risk(
     env: EnvironmentSpec,
     phi: FeatureMap,
@@ -263,34 +286,27 @@ def estimate_transfer_risk(
     """Monte Carlo evaluation of the train-on-fresh-task protocol.
 
     Per task draw: sample a task, a training episode of size m, and
-    test_points i.i.d. test pairs; train the base-learner with phi
-    frozen and average the ramp loss over the test pairs. All draws
-    are fitted and scored as one batch. A failed draw (an episode the
-    learner flags) counts as ramp loss 1 and accuracy 0 on every test
-    point, the worst a ramp loss can be, so failures never favour the
-    bounds. The standard error pools all per-point losses; 0-1
-    accuracy rides along.
+    test_points i.i.d. test pairs; train the base-learner with phi frozen
+    and average the ramp loss over the test pairs, in bounded blocks. A
+    draw the learner flags as failed counts as ramp loss 1 and a miss on
+    every test point, the worst case, so failures never favour the
+    bounds. The standard error pools all per-point losses.
     """
     if task_draws < 1 or test_points < 1:
         raise ValueError("task_draws and test_points must be >= 1")
     if env.k < 2:
         raise ValueError("transfer risk needs k >= 2 (margins are undefined otherwise)")
-    train, test = sample_episode_batches(env, task_draws, seed, [(m, shape), (test_points, None)])
-    scorer = base_learner(train, phi)
-    ok = ~scorer.failed
-    if not ok.any():
+    losses = np.ones((task_draws, test_points))
+    fitted = hits = 0
+    for rows, scores, ys, block_hits in _fresh_episode_scores(
+            env, phi, base_learner, task_draws, seed, [(m, shape), (test_points, None)]):
+        losses[rows] = margin_loss_array(rho, margin_terms(scores, ys, rho)[0])
+        fitted += rows.size
+        hits += int(block_hits.sum())
+    if not fitted:
         raise NumericError("all transfer-risk draws failed")
-    scores = scorer[ok].scores_matrix(test.xs[ok])
-    ys = test.ys[ok]
-    margins, _ = margin_terms(scores, ys, rho)
-    losses = np.ones(test.ys.shape)
-    hits = np.zeros(test.ys.shape, dtype=bool)
-    losses[ok] = margin_loss_array(rho, margins)
-    hits[ok] = scores.argmax(axis=-1) + 1 == ys
-    pooled = losses.ravel()
-    se = float(pooled.std(ddof=1) / math.sqrt(pooled.size)) if pooled.size > 1 else 0.0
-    return TransferRiskEstimate(risk=float(pooled.mean()), std_error=se,
-                                accuracy=float(hits.mean()), failures=int(task_draws - ok.sum()))
+    risk, se = _mean_se(losses.ravel())
+    return TransferRiskEstimate(risk, se, hits / losses.size, failures=task_draws - fitted)
 
 
 def query_split_accuracy(
@@ -302,28 +318,16 @@ def query_split_accuracy(
     seed: int,
 ) -> tuple[float, float]:
     """Mean 0-1 accuracy on the query split over ``episodes`` fresh test
-    episodes, and its standard error.
-
-    The episodes are the units of one ``sample_episode_batches`` draw
-    from ``seed``, taken in blocks of at most ``_QUERY_BLOCK_VALUES``
-    input values (at least one episode each), so memory stays bounded
-    whatever the episode count. Each block is fitted and scored as one
-    batch; an episode's accuracy does not depend on its block.
-    """
+    episodes, and its standard error; a failed fit raises. The episodes
+    are fitted and scored in bounded blocks (``_fresh_episode_scores``)."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    shape = _episode_shape(shape)
-    m = shape.m(env.k)
-    block = max(1, _QUERY_BLOCK_VALUES // (m * env.d_raw))
+    plan = [(_episode_shape(shape).m(env.k), shape)]
+    strict = lambda batch, p: require_fitted(base_learner(batch, p))
     accs = np.empty(episodes)
-    for a in range(0, episodes, block):
-        c = min(block, episodes - a)
-        (batch,) = sample_episode_batches(env, c, seed, [(m, shape)], first=a)
-        qx, qy = batch.query()
-        scores = require_fitted(base_learner(batch, phi)).scores_matrix(qx)
-        accs[a:a + c] = (scores.argmax(axis=-1) + 1 == qy).mean(axis=-1)
-    se = float(accs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
-    return float(accs.mean()), se
+    for rows, _, _, hits in _fresh_episode_scores(env, phi, strict, episodes, seed, plan):
+        accs[rows] = hits.mean(axis=-1)
+    return _mean_se(accs)
 
 
 @dataclass(frozen=True)
@@ -537,11 +541,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
         summary[f"vacuous_freq_{kind}"] = sum(bound >= 1.0 for bound in bounds) / len(rows)
     summary["mean_avg_empirical_loss"] = float(np.mean([r.avg_empirical_loss for r in rows]))
     summary["mean_transfer_risk"] = float(np.mean([r.transfer_risk for r in rows]))
-    summary["mean_test_accuracy"] = float(np.mean([r.test_accuracy for r in rows]))
-    summary["test_accuracy_se"] = (
-        float(np.std([r.test_accuracy for r in rows], ddof=1) / math.sqrt(len(rows)))
-        if len(rows) > 1 else 0.0
-    )
+    summary["mean_test_accuracy"], summary["test_accuracy_se"] = _mean_se([r.test_accuracy for r in rows])
     return rows, summary
 
 

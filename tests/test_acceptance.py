@@ -5,6 +5,7 @@ The experiment-backed criteria (6, 7, 10) use fixed seeds, so their
 outcomes are reproducible runs of the shipped configurations.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -241,7 +242,7 @@ def test_criterion_10_simulate_determinism(tmp_path, capsys):
     config = default_validity_config(trials=8, test_episodes=100, outer_task_draws=5,
                                      outer_meta_draws=1, mc_draws=500)
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config.to_json()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(config)))
     out1, out2 = str(tmp_path / "run1.csv"), str(tmp_path / "run2.csv")
     code1 = cli_main(["simulate", "--config", str(cfg_path), "--output", out1, "--workers", "1"])
     code2 = cli_main(["simulate", "--config", str(cfg_path), "--output", out2, "--workers", "4"])

@@ -65,7 +65,7 @@ class TestBoundInputs:
     def test_json_roundtrip(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
         config = replace(ExperimentConfig.from_json(json.loads(path.read_text())), bound=INPUTS)
-        assert ExperimentConfig.from_json(json.loads(json.dumps(config.to_json()))).bound == INPUTS
+        assert ExperimentConfig.from_json(json.loads(json.dumps(asdict(config)))).bound == INPUTS
 
 
 class TestVcTransferBound:

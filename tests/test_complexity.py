@@ -547,6 +547,13 @@ def test_monte_carlo_streams_are_pinned(A, estimator, mean, std_error):
     assert (est.mean, est.std_error, est.draws) == (mean, std_error, 2000)
 
 
+def test_rademacher_pin_sees_the_bit_order():
+    # At 2,000 draws PINNED_EYE's pin also holds if the signs of each byte
+    # are unpacked in reverse order; at 2,001 that order reads 0.49925.
+    est = rademacher_complexity_mc(PINNED_EYE, 2001, 11)
+    assert (est.mean, est.std_error) == (0.5102448775612194, 0.019230836759259025)
+
+
 def test_rademacher_stream_with_odd_chunks():
     # 5,001 columns give chunks of 1,677 and 323 draws, each an odd number
     # of signs, not a multiple of 64: each chunk drops the spare bits of its

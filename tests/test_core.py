@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +141,7 @@ class TestTypes:
     def test_environment_json_field_names(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
         config = replace(ExperimentConfig.from_json(json.loads(path.read_text())), environment=ENV)
-        data = config.to_json()
+        data = asdict(config)
         assert set(data["environment"]) == {"d_raw", "k", "prototype_scale", "noise_sigma", "balanced"}
         assert ExperimentConfig.from_json(data).environment == ENV
 

@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -424,8 +424,8 @@ class TestConfig:
     ], ids=["default.json", "sweep.json", "unsplit"])
     def test_json_roundtrip(self, make):
         config = make()
-        assert ExperimentConfig.from_json(config.to_json()) == config
-        assert ExperimentConfig.from_json(json.loads(json.dumps(config.to_json()))) == config
+        assert ExperimentConfig.from_json(asdict(config)) == config
+        assert ExperimentConfig.from_json(json.loads(json.dumps(asdict(config)))) == config
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -481,6 +481,38 @@ def test_query_split_peak_memory_does_not_grow_with_episodes():
         tracemalloc.start()
         try:
             query_split_accuracy(env, phi, learner, config.episode_shape, episodes, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) <= 1.5 * peak(200)
+
+
+@pytest.mark.parametrize("shape, m", [((2, 3), 20), (None, 6)], ids=["shaped", "unsplit"])
+def test_transfer_risk_does_not_depend_on_block_size(monkeypatch, shape, m):
+    # unsplit, six i.i.d. draws over four classes miss one in 17 of the 30
+    # draws, so failed centroid fits fall on both sides of the block edges
+    env = EnvironmentSpec(d_raw=8, k=4, prototype_scale=1.0, noise_sigma=1.0)
+    phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
+    learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
+    values_per_draw = (m + 25) * env.d_raw  # training episode plus 25 test points
+    results = []
+    for block in (1, 4, 9, 40):
+        monkeypatch.setattr(harness, "_QUERY_BLOCK_VALUES", block * values_per_draw)
+        results.append(estimate_transfer_risk(env, phi, learner, 1.0, m, 30, 25, 31, shape))
+    assert results[1:] == results[:-1]
+    assert (results[0].failures > 0) == (shape is None)
+
+
+def test_transfer_risk_peak_memory_does_not_grow_with_draws():
+    env = EnvironmentSpec(d_raw=8, k=4, prototype_scale=1.0, noise_sigma=1.0)
+    phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
+    learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
+
+    def peak(draws):
+        tracemalloc.start()
+        try:
+            estimate_transfer_risk(env, phi, learner, 1.0, 100, draws, 40, 5, (5, 20))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
