@@ -13,8 +13,8 @@ Every sampler is a pure function of (spec, seed). Child seeds are
 derived from a master seed with a splitmix64-style mixer so that
 results do not depend on execution order or parallelism degree. Each
 task or episode draws from the stream ``np.random.default_rng(seed)``
-would give; the samplers derive every stream's PCG64 state for a whole
-batch of seeds at once and set one generator to each in turn.
+would give; the samplers derive the seed words of every stream of a draw
+at once and set one generator to each stream's PCG64 state in turn.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -108,16 +108,16 @@ def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
     return (out[0::2] | (out[1::2] << np.uint64(32))).T
 
 
-def _stream_states(seeds: np.ndarray) -> list[dict]:
+def _stream_states(words: np.ndarray) -> list[dict]:
     """The bit-generator state ``np.random.default_rng(s)`` starts in, for
-    each uint64 seed s.
+    each row of ``_seed_sequence_state`` words of a seed s.
 
     PCG64 seeds from the seed sequence's four words (initial state, then
     stream) by srandom: inc = 2*stream + 1, state = (inc + initial)*M + inc,
     both mod 2**128.
     """
     states = []
-    for init_hi, init_lo, seq_hi, seq_lo in _seed_sequence_state(seeds).tolist():
+    for init_hi, init_lo, seq_hi, seq_lo in words.tolist():
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
         states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -125,12 +125,14 @@ def _stream_states(seeds: np.ndarray) -> list[dict]:
     return states
 
 
-def _one_stream(seed: int) -> list[dict]:
-    """The stream state of one caller's seed, which must lie in [0, 2**64)."""
+def _one_stream(seed: int) -> tuple[list[dict], np.random.Generator]:
+    """The stream state of one caller's seed, which must lie in [0, 2**64),
+    and a generator to draw it with."""
     seed = operator.index(seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return _stream_states(np.array([seed], dtype=np.uint64))
+    states = _stream_states(_seed_sequence_state(np.array([seed], dtype=np.uint64)))
+    return states, np.random.Generator(np.random.PCG64(0))
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -283,13 +285,13 @@ class EnvironmentSpec:
             raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
 
 
-def _draw_tasks(env: EnvironmentSpec, states: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
+def _draw_tasks(env: EnvironmentSpec, states: Sequence[dict],
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Prototypes (n, k, d_raw) and class probabilities (n, k) of the
-    task drawn from each of n stream states."""
+    task drawn from each of n stream states, with rng."""
     n = len(states)
     protos = np.empty((n, env.k, env.d_raw))
     probs = np.full((n, env.k), 1.0 / env.k)
-    rng = np.random.Generator(np.random.PCG64(0))
     for l, state in enumerate(states):
         rng.bit_generator.state = state
         rng.standard_normal(out=protos[l])
@@ -301,9 +303,10 @@ def _draw_tasks(env: EnvironmentSpec, states: Sequence[dict]) -> tuple[np.ndarra
 
 
 def _draw_episodes(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
-                   shape: Optional[EpisodeShape], states: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """(xs (n, m, d_raw), ys (n, m)) of one episode per task l, drawn from
-    stream states[l]: a k-way episode of the given shape, or m i.i.d. labels
+                   shape: Optional[EpisodeShape], states: Sequence[dict],
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(xs (n, m, d_raw), ys (n, m)) of one episode per task l, drawn with
+    rng from stream states[l]: a k-way episode of the given shape, or m i.i.d. labels
     drawn from probs[l] when shape is None, each point its prototype plus noise."""
     # A k-way episode's support and query noise come from one draw; the
     # generator yields the same numbers as drawing the two blocks in turn.
@@ -312,7 +315,6 @@ def _draw_episodes(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
     ys = np.empty((n, m), dtype=np.int64)
     if shape is not None:
         ys[:] = shape.labels(k)
-    rng = np.random.Generator(np.random.PCG64(0))
     for l, state in enumerate(states):
         rng.bit_generator.state = state
         if shape is None:
@@ -337,7 +339,7 @@ def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
     environment is balanced and a flat Dirichlet draw otherwise. The
     seed must lie in [0, 2**64).
     """
-    protos, probs = _draw_tasks(env, _one_stream(seed))
+    protos, probs = _draw_tasks(env, *_one_stream(seed))
     return TaskSpec(prototypes=protos[0], noise_sigma=env.noise_sigma, class_probs=probs[0])
 
 
@@ -347,7 +349,7 @@ def sample_episode(task: TaskSpec, m: int, seed: int) -> EpisodeBatch:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma, m,
-                            None, _one_stream(seed))
+                            None, *_one_stream(seed))
     return EpisodeBatch(xs, ys, task.k)
 
 
@@ -362,7 +364,7 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
         raise ValueError(f"task has {task.k} classes, expected {k}")
     shape = EpisodeShape(s, q)
     xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma,
-                            shape.m(k), shape, _one_stream(seed))
+                            shape.m(k), shape, *_one_stream(seed))
     return EpisodeBatch(xs, ys, k, shape)
 
 
@@ -371,44 +373,59 @@ def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int)
 EpisodePlan = tuple[int, Optional[tuple[int, int]]]
 
 
-def sample_episode_batches(
+def _episode_blocks(
     env: EnvironmentSpec,
     count: int,
     seed: int,
     plan: Sequence[EpisodePlan],
-    first: int = 0,
-) -> tuple[EpisodeBatch, ...]:
-    """Draw ``count`` independent tasks and, from each, one episode per
-    plan entry; returns one batch per plan entry.
-
-    Unit l derives its seeds from child ``first + l`` of ``seed``: the
-    task from child 0, the episode of plan entry i from child i+1. So
-    the units ``[first, first + count)`` are rows ``first:first + count``
-    of one draw with ``first=0``, and a long draw can be taken in blocks.
-    Each batch is bit-identical to stacking ``sample_episode`` or
-    ``sample_kway_sshot_episode`` on ``sample_task`` with those seeds,
-    but no per-task or per-episode object is built.
+    block: int,
+) -> Iterator[tuple[EpisodeBatch, ...]]:
+    """``sample_episode_batches(env, count, seed, plan)`` in blocks of at
+    most ``block`` units: yields one batch per plan entry for each block,
+    units in order. The child seeds and SeedSequence words of all units are
+    derived in one pass; a block's words become PCG64 states only when the
+    block is drawn, and one generator draws every stream. So the blocks are
+    rows of one draw, whatever ``block``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if first < 0:
-        raise ValueError(f"first must be >= 0, got {first}")
     plan = [(m, None if shape is None else _episode_shape(shape)) for m, shape in plan]
     for m, shape in plan:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if shape is not None and m != shape.m(env.k):
             raise ValueError(f"m={m} must equal k*(s+q)={shape.m(env.k)}")
-    units = _child_seeds(int(seed), np.arange(first, first + count, dtype=np.uint64))
+    units = _child_seeds(int(seed), np.arange(count, dtype=np.uint64))
     seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
-    states = _stream_states(seeds.ravel())
-    streams = [states[j * count:(j + 1) * count] for j in range(len(plan) + 1)]
-    protos, probs = _draw_tasks(env, streams[0])
-    batches = []
-    for i, (m, shape) in enumerate(plan):
-        xs, ys = _draw_episodes(protos, probs, env.noise_sigma, m, shape, streams[i + 1])
-        batches.append(EpisodeBatch(xs, ys, env.k, shape))
-    return tuple(batches)
+    words = _seed_sequence_state(seeds.ravel()).reshape(len(plan) + 1, count, 4)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for a in range(0, count, block):
+        rows = slice(a, a + block)
+        protos, probs = _draw_tasks(env, _stream_states(words[0, rows]), rng)
+        batches = []
+        for i, (m, shape) in enumerate(plan):
+            xs, ys = _draw_episodes(protos, probs, env.noise_sigma, m, shape,
+                                    _stream_states(words[i + 1, rows]), rng)
+            batches.append(EpisodeBatch(xs, ys, env.k, shape))
+        yield tuple(batches)
+
+
+def sample_episode_batches(
+    env: EnvironmentSpec,
+    count: int,
+    seed: int,
+    plan: Sequence[EpisodePlan],
+) -> tuple[EpisodeBatch, ...]:
+    """Draw ``count`` independent tasks and, from each, one episode per
+    plan entry; returns one batch per plan entry.
+
+    Unit l derives its seeds from child l of ``seed``: the task from child
+    0, the episode of plan entry i from child i+1. Each batch is
+    bit-identical to stacking ``sample_episode`` or
+    ``sample_kway_sshot_episode`` on ``sample_task`` with those seeds, but
+    no per-task or per-episode object is built.
+    """
+    return next(_episode_blocks(env, count, seed, plan, count))
 
 
 def sample_meta_sample(

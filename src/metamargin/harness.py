@@ -43,8 +43,8 @@ from .core import (
     EnvironmentSpec,
     EpisodeShape,
     SeedPolicy,
+    _episode_blocks,
     _episode_shape,
-    sample_episode_batches,
     sample_meta_sample,
 )
 from .learners import (
@@ -261,8 +261,8 @@ def _fresh_episode_scores(env: EnvironmentSpec, phi: FeatureMap, base_learner: B
     score the query portion of its last. Yields per block the fitted units'
     indices, scores, labels and hits; none of them depends on the block."""
     block = max(1, _QUERY_BLOCK_VALUES // (sum(m for m, _ in plan) * env.d_raw))
-    for a in range(0, count, block):
-        batches = sample_episode_batches(env, min(block, count - a), seed, plan, first=a)
+    a = 0
+    for batches in _episode_blocks(env, count, seed, plan, block):
         scorer = base_learner(batches[0], phi)
         qx, qy = batches[-1].query()
         ok = ~scorer.failed
@@ -270,6 +270,7 @@ def _fresh_episode_scores(env: EnvironmentSpec, phi: FeatureMap, base_learner: B
             scorer, qx, qy = scorer[ok], qx[ok], qy[ok]
         scores = scorer.scores_matrix(qx)
         yield a + np.flatnonzero(ok), scores, qy, scores.argmax(axis=-1) + 1 == qy
+        a += len(ok)
 
 
 def estimate_transfer_risk(
@@ -337,10 +338,15 @@ class ExpectedComplexities:
     Each Gaussian complexity is sampled in the row space
     (``gaussian_complexity_rowspace``): the same distribution as
     ``gaussian_complexity_mc``'s, but another random stream, so it differs
-    from ``estimate --estimator gaussian`` on the same matrix. The
-    ``*_se`` fields are the Monte Carlo standard errors of the two
-    Gaussian means, sqrt(sum of the draws' squared standard errors) / K
-    over the K draws that succeeded; they are reported, never bounded on.
+    from ``estimate --estimator gaussian`` on the same matrix. Over the K
+    draws of a level that succeeded, each ``*_se`` field is the standard
+    error of its mean as an expectation over draws: the sample standard
+    deviation of the K per-draw values over sqrt(K), which covers both the
+    draw-to-draw spread and the Monte Carlo noise. At K = 1 there is no
+    spread to measure, so ``gamma_*_se`` is the inner Monte Carlo SE and
+    ``entropy_*_se`` is 0 (an entropy integral has no Monte Carlo noise).
+    ``gamma_*_mc_se`` is the inner Monte Carlo SE alone, sqrt(sum of the
+    draws' squared standard errors) / K. All are reported, never bounded on.
     """
 
     gamma_meta: float
@@ -349,6 +355,10 @@ class ExpectedComplexities:
     entropy_task: float
     gamma_meta_se: float
     gamma_task_se: float
+    entropy_meta_se: float
+    entropy_task_se: float
+    gamma_meta_mc_se: float
+    gamma_task_mc_se: float
 
 
 def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFamily, base_learner: BaseLearner,
@@ -393,18 +403,18 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
     if not task or not meta:
         raise NumericError("every outer draw failed while estimating expected complexities")
 
-    def level(draws: list) -> tuple[float, float, float]:
-        """The level's mean Gaussian complexity and entropy integral, summed
-        in draw order, and the Gaussian mean's standard error."""
+    def level(draws: list, name: str) -> dict[str, float]:
+        """The level's ExpectedComplexities fields: the mean Gaussian
+        complexity and entropy integral, summed in draw order, and their
+        standard errors."""
         gammas, entropies, ses = zip(*draws)
         k = len(draws)
-        return sum(gammas) / k, sum(entropies) / k, math.sqrt(sum(se * se for se in ses)) / k
+        mc_se = math.sqrt(sum(se * se for se in ses)) / k
+        return {f"gamma_{name}": sum(gammas) / k, f"entropy_{name}": sum(entropies) / k,
+                f"gamma_{name}_se": _mean_se(gammas)[1] if k > 1 else mc_se,
+                f"entropy_{name}_se": _mean_se(entropies)[1], f"gamma_{name}_mc_se": mc_se}
 
-    gamma_task, entropy_task, gamma_task_se = level(task)
-    gamma_meta, entropy_meta, gamma_meta_se = level(meta)
-    expected = ExpectedComplexities(gamma_meta=gamma_meta, gamma_task=gamma_task,
-                                    entropy_meta=entropy_meta, entropy_task=entropy_task,
-                                    gamma_meta_se=gamma_meta_se, gamma_task_se=gamma_task_se)
+    expected = ExpectedComplexities(**level(task, "task"), **level(meta, "meta"))
     return expected, {"failed_outer_draws_task": dict(sorted(task_failures.items())),
                       "failed_outer_draws_meta": dict(sorted(meta_failures.items()))}
 

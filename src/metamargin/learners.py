@@ -12,6 +12,7 @@ objective for loss-swap experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -244,6 +245,16 @@ class LinearScorer(ScoringFunction):
         return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
 
 
+@functools.cache
+def _pairs(k: int) -> tuple[np.ndarray, ...]:
+    """Row and column indices of the k*(k-1)/2 class pairs i < j, read-only
+    since every call shares them."""
+    pairs = np.triu_indices(k, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def nearest_centroid_learn(batch: EpisodeBatch, phi: FeatureMap, b: float) -> CentroidScorer:
     """Fit per-class centroids in feature space, on every episode of a
     batch at once.
@@ -262,9 +273,12 @@ def nearest_centroid_learn(batch: EpisodeBatch, phi: FeatureMap, b: float) -> Ce
     sums = np.swapaxes(onehot, 1, 2) @ _features(phi, xs)
     centroids = sums / np.maximum(counts, 1.0)[..., None]
     if k >= 2:
-        iu = np.triu_indices(k, k=1)
-        pairwise = np.linalg.norm(centroids[:, iu[0]] - centroids[:, iu[1]], axis=-1)
-        scale = np.median(pairwise, axis=-1)
+        left, right = _pairs(k)
+        pairwise = np.linalg.norm(centroids[:, left] - centroids[:, right], axis=-1)
+        pairwise.sort(axis=-1)  # the median as np.median takes it: the middle one, or two's mean
+        half, odd = divmod(pairwise.shape[-1], 2)
+        scale = pairwise[:, half].copy() if odd else (pairwise[:, half - 1] + pairwise[:, half]) / 2
+        scale[np.isnan(pairwise[:, -1])] = np.nan  # NaNs sort last, and make np.median NaN
     else:
         scale = np.zeros(batch.n)
     scale[scale <= 0.0] = 1.0

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from metamargin.core import (
     _child_seeds,
+    _episode_blocks,
     _seed_sequence_state,
     _stream_states,
     EnvironmentSpec,
@@ -64,7 +65,7 @@ def test_bulk_seeding_matches_default_rng(seeds):
     # the streams of default_rng.
     arr = np.array(seeds, dtype=np.uint64)
     rng = np.random.Generator(np.random.PCG64(0))
-    for s, words, state in zip(seeds, _seed_sequence_state(arr), _stream_states(arr)):
+    for s, words, state in zip(seeds, _seed_sequence_state(arr), _stream_states(_seed_sequence_state(arr))):
         assert np.array_equal(words, np.random.SeedSequence(s).generate_state(4, np.uint64))
         ref = np.random.default_rng(s)
         assert state == ref.bit_generator.state
@@ -270,16 +271,15 @@ class TestMetaSample:
         assert ms.xs.shape == (50, 100, ENV.d_raw) and ms.ys.shape == (50, 100) and ms.k == 5
 
     @pytest.mark.parametrize("plan", [[(20, (1, 3))], [(9, None), (4, None)]])
-    @pytest.mark.parametrize("first,count", [(0, 4), (3, 1), (5, 6)])
-    def test_a_block_is_rows_of_one_draw(self, plan, first, count):
+    @pytest.mark.parametrize("block", [1, 4, 11])
+    def test_a_block_is_rows_of_one_draw(self, plan, block):
         whole = sample_episode_batches(ENV, 11, 6, plan)
-        block = sample_episode_batches(ENV, count, 6, plan, first=first)
-        for b, w in zip(block, whole, strict=True):
-            assert np.array_equal(b.xs, w.xs[first:first + count])
-            assert np.array_equal(b.ys, w.ys[first:first + count])
-            assert b.shape == w.shape
-        with pytest.raises(ValueError, match="first"):
-            sample_episode_batches(ENV, count, 6, plan, first=-1)
+        blocks = list(_episode_blocks(ENV, 11, 6, plan, block))
+        assert [b.n for b, *_ in blocks] == [min(block, 11 - a) for a in range(0, 11, block)]
+        for i, w in enumerate(whole):
+            assert np.array_equal(np.concatenate([b[i].xs for b in blocks]), w.xs)
+            assert np.array_equal(np.concatenate([b[i].ys for b in blocks]), w.ys)
+            assert all(b[i].shape == w.shape for b in blocks)
 
     def test_shaped_draw_holds_little_beyond_its_output(self):
         # 100 default-shaped episodes: 1.3 MB of xs and ys; a gathered

@@ -232,21 +232,50 @@ class TestBoundValidity:
         assert clean["failed_outer_draws_task"] == {} and clean["failed_outer_draws_meta"] == {}
 
     def test_summary_reports_gaussian_standard_errors(self, monkeypatch):
-        def run_with(std_errors):
+        def run_with(std_errors, outer_meta_draws=2):
             """The experiment with each outer draw's Gaussian standard error
-            taken in turn from std_errors: 4 task draws, then 2 meta draws."""
+            taken in turn from std_errors: 4 task draws, then the meta draws."""
             errors = iter(std_errors)
             monkeypatch.setattr(harness, "gaussian_complexity_rowspace", lambda A, draws, seed:
                                 ComplexityEstimate(mean=0.01, std_error=next(errors), draws=draws))
-            return bound_validity_experiment(small_config())
+            return bound_validity_experiment(small_config(outer_meta_draws=outer_meta_draws))
 
         rows, summary = run_with([0.1, 0.2, 0.2, 0.4, 0.3, 0.4])
         expected = summary["expected_complexities"]
-        assert expected["gamma_task_se"] == pytest.approx(math.sqrt(0.01 + 0.04 + 0.04 + 0.16) / 4)
-        assert expected["gamma_meta_se"] == pytest.approx(math.sqrt(0.09 + 0.16) / 2)
+        assert expected["gamma_task_mc_se"] == pytest.approx(math.sqrt(0.01 + 0.04 + 0.04 + 0.16) / 4)
+        assert expected["gamma_meta_mc_se"] == pytest.approx(math.sqrt(0.09 + 0.16) / 2)
         assert expected["gamma_task"] == pytest.approx(0.01) and expected["gamma_meta"] == pytest.approx(0.01)
+        # equal per-draw means have no spread, whatever their Monte Carlo errors
+        assert expected["gamma_task_se"] == expected["gamma_meta_se"] == 0.0
+        # one meta draw has no spread to measure: its SE is the Monte Carlo one
+        one = run_with([0.1, 0.2, 0.2, 0.4, 0.3], outer_meta_draws=1)[1]["expected_complexities"]
+        assert one["gamma_meta_se"] == one["gamma_meta_mc_se"] == pytest.approx(0.3)
+        assert one["entropy_meta_se"] == 0.0
         # reported only: no bound and no row depends on them
         assert run_with([0.0] * 6)[0] == rows
+
+    def test_summary_standard_errors_are_the_spread_of_the_draws(self, monkeypatch):
+        # a recount from each outer draw's Gaussian mean and entropy integral:
+        # 4 task draws, then 2 meta draws
+        gammas, entropies = [], []
+        rowspace, integral = harness.gaussian_complexity_rowspace, harness.entropy_integral
+        def record(values, f):
+            def wrapped(*args):
+                out = f(*args)
+                values.append(max(0.0, out.mean) if isinstance(out, ComplexityEstimate) else out)
+                return out
+            return wrapped
+        monkeypatch.setattr(harness, "gaussian_complexity_rowspace", record(gammas, rowspace))
+        monkeypatch.setattr(harness, "entropy_integral", record(entropies, integral))
+        expected = bound_validity_experiment(small_config())[1]["expected_complexities"]
+        assert len(gammas) == len(entropies) == 6
+        for name, draws in (("task", slice(0, 4)), ("meta", slice(4, 6))):
+            for kind, values in (("gamma", gammas), ("entropy", entropies)):
+                v = np.array(values[draws])
+                assert expected[f"{kind}_{name}"] == sum(values[draws]) / v.size
+                assert expected[f"{kind}_{name}_se"] == pytest.approx(
+                    v.std(ddof=1) / math.sqrt(v.size), rel=1e-12, abs=1e-12)
+                assert expected[f"{kind}_{name}_se"] > 0
 
 
 class TestResultCsv:

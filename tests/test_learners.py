@@ -155,6 +155,27 @@ class TestNearestCentroid:
         want = -dists / scorer.scale[:, None, None]
         np.testing.assert_allclose(scorer.scores_matrix(queries), want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_scale_is_the_median_pairwise_distance(self, k):
+        # 1, 3, 6 and 10 class pairs: odd and even counts. Episode 0's
+        # centroids coincide, so its distances tie at 0. Episode 1's classes
+        # 1 and 2 overflow to infinite centroids: the distance between them
+        # is NaN, and those to the other classes are infinite.
+        rng = np.random.default_rng(k)
+        ys = np.tile(np.arange(1, k + 1), (40, 2))
+        xs = rng.normal(size=(40, 2 * k, 3))
+        xs[0] = xs[0, 0]
+        xs[1, ys[1] <= 2] = 1e308
+        phi = make_feature_family(3, 3, 1, "identity", 0, norm_cap=1.7e308).maps[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scorer = nearest_centroid_learn(EpisodeBatch(xs, ys, k), phi, 1.0)
+            left, right = np.triu_indices(k, k=1)
+            c = scorer.centroids
+            want = np.median(np.linalg.norm(c[:, left] - c[:, right], axis=-1), axis=-1)
+        want[want <= 0.0] = 1.0
+        assert np.array_equal(scorer.scale, want, equal_nan=True)
+        assert scorer.scale[0] == 1.0 and np.isnan(scorer.scale[1])
+
     def test_hand_1d_example(self):
         # support (-1, class 1), (+1, class 2); query -0.9 is nearer class 1
         ep = EpisodeBatch(np.array([[[-1.0], [1.0]]]), np.array([[1, 2]]), 2)
