@@ -33,7 +33,6 @@ from .core import (
     EpisodeShape,
     SeedPolicy,
     TaskSpec,
-    sample_episode,
     sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
@@ -45,6 +44,7 @@ from .harness import (
     FamilySpec,
     LearnerSpec,
     ResultRow,
+    SweepRow,
     TransferRiskEstimate,
     bound_validity_experiment,
     estimate_transfer_risk,

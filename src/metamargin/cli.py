@@ -43,10 +43,10 @@ from .core import EpisodeShape
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
+    SweepRow,
     bound_validity_experiment,
     sweep,
     write_result_rows,
-    write_sweep_rows,
 )
 from .learners import NumericError
 
@@ -184,11 +184,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be comma-separated numbers: {exc}") from exc
     start = time.perf_counter()
     rows = sweep(config, args.axis, values)
-    write_sweep_rows(rows, args.output)
+    write_result_rows(rows, args.output, SweepRow)
     _print_json({
         "axis": args.axis,
         "values": values,
-        "statuses": [r["status"] for r in rows],
+        "statuses": [r.status for r in rows],
         "output_path": args.output,
         "elapsed_s": round(time.perf_counter() - start, 3),
     }, indent=2)

@@ -415,8 +415,8 @@ def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
     sqrt(ln N(tau)) dtau: it prices [alpha_{i+1}, alpha_i] at the larger
     scale, where N is smallest, and leaves out [L/2, L] and [0,
     alpha_{J+1}]. On the rows [1] and [-1] it gives 0.2081, 0.3903 and
-    0.4162 at 1, 4 and 12 levels against sqrt(ln 2) = 0.8326 (ROADMAP
-    item 3).
+    0.4162 at 1, 4 and 12 levels against sqrt(ln 2) = 0.8326: it
+    under-counts the integral by about half.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")

@@ -125,13 +125,18 @@ def _stream_states(words: np.ndarray) -> list[dict]:
     return states
 
 
-def _one_stream(seed: int) -> tuple[list[dict], np.random.Generator]:
-    """The stream state of one caller's seed, which must lie in [0, 2**64),
-    and a generator to draw it with."""
+def _seed64(seed: int) -> int:
+    """A caller's seed, which must lie in [0, 2**64)."""
     seed = operator.index(seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    states = _stream_states(_seed_sequence_state(np.array([seed], dtype=np.uint64)))
+    return seed
+
+
+def _one_stream(seed: int) -> tuple[list[dict], np.random.Generator]:
+    """The stream state of one caller's seed and a generator to draw it
+    with."""
+    states = _stream_states(_seed_sequence_state(np.array([_seed64(seed)], dtype=np.uint64)))
     return states, np.random.Generator(np.random.PCG64(0))
 
 
@@ -343,16 +348,6 @@ def sample_task(env: EnvironmentSpec, seed: int) -> TaskSpec:
     return TaskSpec(prototypes=protos[0], noise_sigma=env.noise_sigma, class_probs=probs[0])
 
 
-def sample_episode(task: TaskSpec, m: int, seed: int) -> EpisodeBatch:
-    """Draw m i.i.d. labeled examples from the task, as a batch of one
-    episode."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    xs, ys = _draw_episodes(task.prototypes[None], task.class_probs[None], task.noise_sigma, m,
-                            None, *_one_stream(seed))
-    return EpisodeBatch(xs, ys, task.k)
-
-
 def sample_kway_sshot_episode(task: TaskSpec, k: int, s: int, q: int, seed: int) -> EpisodeBatch:
     """Draw an episode with exactly s support and q query examples per
     class, as a batch of one episode.
@@ -395,7 +390,7 @@ def _episode_blocks(
             raise ValueError(f"m must be >= 1, got {m}")
         if shape is not None and m != shape.m(env.k):
             raise ValueError(f"m={m} must equal k*(s+q)={shape.m(env.k)}")
-    units = _child_seeds(int(seed), np.arange(count, dtype=np.uint64))
+    units = _child_seeds(_seed64(seed), np.arange(count, dtype=np.uint64))
     seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
     words = _seed_sequence_state(seeds.ravel()).reshape(len(plan) + 1, count, 4)
     rng = np.random.Generator(np.random.PCG64(0))
@@ -420,10 +415,10 @@ def sample_episode_batches(
     plan entry; returns one batch per plan entry.
 
     Unit l derives its seeds from child l of ``seed``: the task from child
-    0, the episode of plan entry i from child i+1. Each batch is
-    bit-identical to stacking ``sample_episode`` or
-    ``sample_kway_sshot_episode`` on ``sample_task`` with those seeds, but
-    no per-task or per-episode object is built.
+    0, the episode of plan entry i from child i+1. A shaped entry's batch
+    is bit-identical to stacking ``sample_kway_sshot_episode`` on
+    ``sample_task`` with those seeds, but no per-task or per-episode object
+    is built. ``seed`` must lie in [0, 2**64).
     """
     return next(_episode_blocks(env, count, seed, plan, count))
 

@@ -19,7 +19,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -72,18 +72,6 @@ SWEEP_AXES = ("n", "m", "rho", "s")
 # default config, a meta-level restriction's 1.6 MB of values); larger
 # blocks are given back to the OS and faulted in again on every block.
 _QUERY_BLOCK_VALUES = 80_000
-
-# Run-summary metrics a sweep row reports, in sweep CSV column order.
-SWEEP_METRICS = (
-    "mean_test_accuracy", "test_accuracy_se", "mean_avg_empirical_loss",
-    *(f"mean_bound_{kind}" for kind in BOUND_KINDS),
-    *(f"hold_freq_{kind}" for kind in BOUND_KINDS),
-)
-SWEEP_CSV_HEADER = ",".join(("axis", "value", "status", "trials") + SWEEP_METRICS + ("error",))
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
 
 
 def _from_json(cls, data):
@@ -438,13 +426,37 @@ class ResultRow:
     elapsed_ms: float
 
 
-CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep CSV row: an axis value's run-summary metrics, or, with
+    status "error", the reason it has none."""
+    axis: str
+    value: float
+    status: str
+    trials: int = 0
+    mean_test_accuracy: Optional[float] = None
+    test_accuracy_se: Optional[float] = None
+    mean_avg_empirical_loss: Optional[float] = None
+    mean_bound_vc: Optional[float] = None
+    mean_bound_gaussian: Optional[float] = None
+    mean_bound_covering: Optional[float] = None
+    mean_bound_surrogate: Optional[float] = None
+    hold_freq_vc: Optional[float] = None
+    hold_freq_gaussian: Optional[float] = None
+    hold_freq_covering: Optional[float] = None
+    hold_freq_surrogate: Optional[float] = None
+    error: str = ""
 
 
 def _csv_cell(value) -> str:
-    """A results CSV field: bools as 0/1, ints as written, floats to 9
-    significant digits."""
-    return str(int(value)) if isinstance(value, int) else _fmt(value)
+    """A CSV field: None empty, text on one line with commas as
+    semicolons, bools as 0/1, ints as written, floats to 9 significant
+    digits."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\r", " ").replace("\n", " ")
+    return str(int(value)) if isinstance(value, int) else f"{float(value):.9g}"
 
 
 def bound_holds(transfer_risk: float, transfer_risk_se: float, bound_total: float) -> bool:
@@ -555,11 +567,15 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     return rows, summary
 
 
-def write_result_rows(rows: Sequence[ResultRow], path: str) -> None:
+def write_result_rows(rows: Sequence, path: str, row_type: type = ResultRow) -> None:
+    """Write ``rows`` of dataclass ``row_type`` as a CSV: a header of its
+    field names, then one line per row. The type is passed apart from the
+    rows so that an empty list still writes its header."""
+    names = [f.name for f in fields(row_type)]
     with open(path, "w", newline="") as handle:
-        handle.write(CSV_HEADER + "\n")
+        handle.write(",".join(names) + "\n")
         for row in rows:
-            handle.write(",".join(map(_csv_cell, astuple(row))) + "\n")
+            handle.write(",".join(_csv_cell(getattr(row, name)) for name in names) + "\n")
 
 
 def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -584,7 +600,7 @@ def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> Experiment
     return replace(config, episode_shape=shape, bound=replace(config.bound, m=shape.m(config.bound.k)))
 
 
-def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[dict]:
+def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[SweepRow]:
     """Run one bound-validity experiment per axis value.
 
     A non-finite value raises ValueError before any run. Other invalid
@@ -601,25 +617,12 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> list[
         raise ValueError(f"sweep values must be finite, got {bad}")
     out = []
     for value in values:
-        row = {"axis": axis, "value": value, "status": "ok", "error": ""}
         try:
-            sub_config = _apply_axis(config, axis, value)
-            _, summary = bound_validity_experiment(sub_config)
-            row["trials"] = summary["trials"] - summary["failed_trials"]
-            row.update({name: summary[name] for name in SWEEP_METRICS})
+            _, summary = bound_validity_experiment(_apply_axis(config, axis, value))
         except (ValueError, NumericError) as exc:
-            row["status"] = "error"
-            row["error"] = str(exc)
-        out.append(row)
+            out.append(SweepRow(axis, float(value), "error", error=str(exc)))
+            continue
+        # the metric fields are the ones that default to None
+        metrics = {f.name: summary[f.name] for f in fields(SweepRow) if f.default is None}
+        out.append(SweepRow(axis, float(value), "ok", summary["trials"] - summary["failed_trials"], **metrics))
     return out
-
-
-def write_sweep_rows(rows: Sequence[dict], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(SWEEP_CSV_HEADER + "\n")
-        for row in rows:
-            cells = [row["axis"], _fmt(row["value"]), row["status"], str(row.get("trials", 0))]
-            cells += [_fmt(row[name]) if name in row else "" for name in SWEEP_METRICS]
-            error = str(row.get("error", ""))
-            cells.append(error.replace(",", ";").replace("\r", " ").replace("\n", " "))
-            handle.write(",".join(cells) + "\n")

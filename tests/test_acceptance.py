@@ -193,22 +193,22 @@ def test_criterion_06_bound_validity():
 
 def test_criterion_07a_accuracy_vs_n_trend():
     rows = sweep(sweep_config(), "n", [500, 2000, 8000])
-    accs = [r["mean_test_accuracy"] for r in rows]
-    ses = [r["test_accuracy_se"] for r in rows]
-    ok = all(r["status"] == "ok" for r in rows)
+    accs = [r.mean_test_accuracy for r in rows]
+    ses = [r.test_accuracy_se for r in rows]
+    ok = all(r.status == "ok" for r in rows)
     for i in range(len(rows) - 1):
         ok = ok and accs[i + 1] >= accs[i] - math.hypot(ses[i], ses[i + 1])
-    detail = ", ".join(f"n={int(r['value'])}: {a:.4f}±{s:.4f}"
+    detail = ", ".join(f"n={int(r.value)}: {a:.4f}±{s:.4f}"
                        for r, a, s in zip(rows, accs, ses))
     assert report(7, "accuracy vs n nondecreasing (7a)", ok, detail)
 
 
 def test_criterion_07b_rho_insensitivity():
     rows = sweep(sweep_config(), "rho", [0.1, 1.0, 10.0])
-    accs = [r["mean_test_accuracy"] for r in rows]
+    accs = [r.mean_test_accuracy for r in rows]
     spread = max(accs) - min(accs)
-    ok = all(r["status"] == "ok" for r in rows) and spread <= 0.05
-    detail = ", ".join(f"rho={r['value']}: {a:.4f}" for r, a in zip(rows, accs))
+    ok = all(r.status == "ok" for r in rows) and spread <= 0.05
+    detail = ", ".join(f"rho={r.value}: {a:.4f}" for r, a in zip(rows, accs))
     assert report(7, "rho insensitivity (7b)", ok, f"{detail}; spread {100 * spread:.2f} points")
 
 

@@ -17,7 +17,6 @@ from metamargin.core import (
     EnvironmentSpec,
     EpisodeBatch,
     SeedPolicy,
-    sample_episode,
     sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
@@ -250,6 +249,12 @@ def ref_iid_episode(protos, probs, sigma, m, seed):
     return protos[ys - 1] + rng.normal(0.0, sigma, size=(m, protos.shape[1])), ys
 
 
+def ref_iid_batch(task, m, seed):
+    """``ref_iid_episode`` from a sampled task, as a batch of one."""
+    xs, ys = ref_iid_episode(task.prototypes, task.class_probs, task.noise_sigma, m, seed)
+    return EpisodeBatch(xs[None], ys[None], task.k)
+
+
 def ref_kway_episode(protos, sigma, s, q, seed):
     rng = np.random.default_rng(seed)
     blocks = []
@@ -272,14 +277,11 @@ def test_stacked_sampler_is_bit_identical(balanced):
         expected = [ref_kway_episode(protos, 0.7, 2, 3, unit.child(1)),
                     ref_iid_episode(protos, probs, 0.7, 11, unit.child(2)),
                     ref_iid_episode(protos, probs, 0.7, 4, unit.child(3))]
-        task = sample_task(env, unit.child(0))
-        episodes = [sample_kway_sshot_episode(task, 3, 2, 3, unit.child(1)),
-                    sample_episode(task, 11, unit.child(2)),
-                    sample_episode(task, 4, unit.child(3))]
-        for batch, episode, (xs, ys) in zip(batches, episodes, expected):
+        for batch, (xs, ys) in zip(batches, expected):
             assert np.array_equal(batch.xs[l], xs) and np.array_equal(batch.ys[l], ys)
-            assert np.array_equal(episode.xs[0], xs) and np.array_equal(episode.ys[0], ys)
-            assert batch.shape == episode.shape
+        episode = sample_kway_sshot_episode(sample_task(env, unit.child(0)), 3, 2, 3, unit.child(1))
+        assert np.array_equal(episode.xs[0], expected[0][0]) and np.array_equal(episode.ys[0], expected[0][1])
+        assert [batch.shape for batch in batches] == [episode.shape, None, None]
 
 
 # -- harness ---------------------------------------------------------------
@@ -328,7 +330,7 @@ def test_transfer_risk_matches_loop(kind, shape, m):
         unit = SeedPolicy(policy.child(j))
         task = sample_task(ENV, unit.child(0))
         if shape is None:
-            train = sample_episode(task, m, unit.child(1))
+            train = ref_iid_batch(task, m, unit.child(1))
         else:
             train = sample_kway_sshot_episode(task, ENV.k, *shape, unit.child(1))
         try:
@@ -339,7 +341,7 @@ def test_transfer_risk_matches_loop(kind, shape, m):
             losses.append(np.ones(25))
             hits.append(np.zeros(25, dtype=bool))
             continue
-        test = sample_episode(task, 25, unit.child(2))
+        test = ref_iid_batch(task, 25, unit.child(2))
         scores = scorer.scores_matrix(test.xs[0])
         losses.append(np.clip(1.0 - ref_margins(scores, test.ys[0]), 0.0, 1.0))
         hits.append(scores.argmax(axis=1) + 1 == test.ys[0])

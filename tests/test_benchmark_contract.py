@@ -37,13 +37,21 @@ def _unresolved_span(name):
     return None
 
 
+# Hooked functions the package deleted on purpose. The benchmark never
+# reached them (run.py does not import them and no package code called
+# them), so their hooks never fired; spans._HOOKS drops them when the
+# benchmark is next updated. Until then each must stay deleted.
+RETIRED = {"core.sample_episode"}
+
+
 def test_every_traced_name_resolves():
     names = set(SPANS._HOOKS) | {".".join(entry) for entry in SPANS.METHODS}
     for group in (SPANS.FIT_SPANS, SPANS.SCORES_SPANS, SPANS.MC_SPANS, SPANS.COVER_SPANS,
                   SPANS.CSV_SPANS):
         names |= group
-    problems = [p for p in map(_unresolved_span, sorted(names)) if p is not None]
+    problems = [p for p in map(_unresolved_span, sorted(names - RETIRED)) if p is not None]
     assert problems == []
+    assert RETIRED <= set(SPANS._HOOKS) and all(map(_unresolved_span, RETIRED))
 
 
 def test_every_name_run_imports_resolves():

@@ -17,7 +17,6 @@ from metamargin.core import (
     EpisodeShape,
     SeedPolicy,
     TaskSpec,
-    sample_episode,
     sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
@@ -82,7 +81,7 @@ def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ValueError):
         sample_task(ENV, seed)
     with pytest.raises(ValueError):
-        sample_episode(task, 10, seed)
+        sample_episode_batches(ENV, 1, seed, [(10, None)])
     with pytest.raises(ValueError):
         sample_kway_sshot_episode(task, 5, 1, 1, seed)
 
@@ -189,32 +188,32 @@ class TestSampleTask:
 class TestSampleEpisode:
     def test_minimal_noise_sticks_to_prototypes(self):
         env = EnvironmentSpec(d_raw=8, k=3, prototype_scale=1.0, noise_sigma=1e-12)
-        task = sample_task(env, 2)
-        ep = sample_episode(task, 50, 3)
+        (ep,) = sample_episode_batches(env, 1, 3, [(50, None)])
+        # the unit's task is drawn from child 0 of the unit's seed, child 0 of 3
+        task = sample_task(env, SeedPolicy(SeedPolicy(3).child(0)).child(0))
         deviation = np.abs(ep.xs - task.prototypes[ep.ys - 1]).max()
         assert deviation < 1e-9
 
     def test_balanced_class_counts(self):
-        # binomial oracle: per-class count has mean 20, sd 4 at m=100, p=0.2;
-        # the mean over 100 repeats lies within 4 * (4 / 10) of 20
-        task = sample_task(ENV, 7)
+        # binomial oracle: per-class count has mean 20, sd 4 at m=100, p=0.2
+        # (every task of a balanced environment); the mean over 100 repeats
+        # lies within 4 * (4 / 10) of 20
         counts = np.zeros(5)
         repeats = 100
         for i in range(repeats):
-            ep = sample_episode(task, 100, 50 + i)
+            (ep,) = sample_episode_batches(ENV, 1, 50 + i, [(100, None)])
             counts += np.bincount(ep.ys[0], minlength=6)[1:]
         mean_counts = counts / repeats
         tol = 4 * np.sqrt(100 * 0.2 * 0.8) / np.sqrt(repeats)
         assert np.all(np.abs(mean_counts - 20.0) < tol)
 
     def test_deterministic(self):
-        task = sample_task(ENV, 7)
-        e1, e2 = sample_episode(task, 20, 9), sample_episode(task, 20, 9)
+        (e1,), (e2,) = (sample_episode_batches(ENV, 1, 9, [(20, None)]) for _ in range(2))
         assert np.array_equal(e1.xs, e2.xs) and np.array_equal(e1.ys, e2.ys)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
-            sample_episode(sample_task(ENV, 1), 0, 1)
+            sample_episode_batches(ENV, 1, 1, [(0, None)])
 
 
 class TestKwayShotEpisode:
@@ -303,7 +302,6 @@ class TestMetaSample:
 
 def test_label_range_many_episodes():
     # samplers only ever emit labels in 1..k
-    rng_tasks = [sample_task(ENV, s) for s in range(20)]
     for i in range(10_000):
-        ep = sample_episode(rng_tasks[i % 20], 3, i)
+        (ep,) = sample_episode_batches(ENV, 1, i, [(3, None)])
         assert ep.ys.min() >= 1 and ep.ys.max() <= 5

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ConstantScorer
+from metamargin.cli import main
 from metamargin.bounds import BoundInputs, gaussian_transfer_bound, covering_transfer_bound, \
     surrogate_multimargin_bound, vc_transfer_bound
 from metamargin import harness
@@ -26,7 +27,6 @@ from metamargin.core import (
     EnvironmentSpec,
     EpisodeBatch,
     SeedPolicy,
-    sample_episode,
     sample_episode_batches,
     sample_kway_sshot_episode,
     sample_meta_sample,
@@ -34,13 +34,12 @@ from metamargin.core import (
 )
 from metamargin.harness import (
     BOUND_KINDS,
-    CSV_HEADER,
-    SWEEP_CSV_HEADER,
     ExperimentConfig,
     FamilyGroup,
     FamilySpec,
     LearnerSpec,
     ResultRow,
+    SweepRow,
     bound_holds,
     bound_validity_experiment,
     build_family,
@@ -49,7 +48,6 @@ from metamargin.harness import (
     query_split_accuracy,
     sweep,
     write_result_rows,
-    write_sweep_rows,
 )
 from metamargin.learners import make_feature_family, meta_erm_select, nearest_centroid_learn
 from metamargin.losses import episode_losses, margin_terms
@@ -153,6 +151,9 @@ class TestBoundValidity:
         names = [f.name for f in fields(ResultRow)]
         assert [n for n in names if n.startswith("bound_")] == [f"bound_{kind}" for kind in BOUND_KINDS]
         assert [n for n in names if n.startswith("holds_")] == [f"holds_{kind}" for kind in BOUND_KINDS]
+        sweep_names = [f.name for f in fields(SweepRow)]
+        assert [n for n in sweep_names if n.startswith("mean_bound_")] == [f"mean_bound_{kind}" for kind in BOUND_KINDS]
+        assert [n for n in sweep_names if n.startswith("hold_freq_")] == [f"hold_freq_{kind}" for kind in BOUND_KINDS]
         # every bound of this config is vacuous; make one trial's Gaussian bound not
         totals = iter([0.5, 2.0])
         gaussian = harness.gaussian_transfer_bound
@@ -200,7 +201,8 @@ class TestBoundValidity:
         path = str(tmp_path / "rows.csv")
         write_result_rows(rows, path)
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == CSV_HEADER and len(lines) == 1 + 3  # the reasons stay out of the CSV
+        assert lines[0] == ",".join(f.name for f in fields(ResultRow))
+        assert len(lines) == 1 + 3  # the reasons stay out of the CSV
         for kind in BOUND_KINDS:
             held = sum(getattr(r, f"holds_{kind}") for r in rows)
             assert summary[f"hold_freq_{kind}"] == held / 3
@@ -279,20 +281,26 @@ class TestBoundValidity:
 
 
 class TestResultCsv:
-    CASTS = {"int": int, "float": float, "bool": lambda cell: bool(int(cell))}
+    CASTS = {"int": int, "float": float, "bool": lambda cell: bool(int(cell)), "str": str,
+             "Optional[float]": lambda cell: float(cell) if cell else None}
 
-    def test_roundtrip_is_lossless(self, tmp_path):
-        rows, _ = bound_validity_experiment(small_config())
+    @pytest.mark.parametrize("row_type", [ResultRow, SweepRow], ids=lambda t: t.__name__)
+    def test_roundtrip_is_lossless(self, tmp_path, row_type):
+        if row_type is ResultRow:
+            rows, _ = bound_validity_experiment(small_config())
+        else:  # an error row (empty metric cells, a comma in its text) and an ok row
+            rows = sweep(small_config(), "n", [0, 6])
+            assert [r.status for r in rows] == ["error", "ok"] and "," in rows[0].error
         path = str(tmp_path / "rows.csv")
-        write_result_rows(rows, path)
+        write_result_rows(rows, path, row_type)
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            assert next(reader) == [f.name for f in fields(ResultRow)]
-            casts = [self.CASTS[f.type] for f in fields(ResultRow)]
-            parsed = [ResultRow(*(cast(cell) for cast, cell in zip(casts, line))) for line in reader]
+            assert next(reader) == [f.name for f in fields(row_type)]
+            casts = [self.CASTS[f.type] for f in fields(row_type)]
+            parsed = [row_type(*(cast(cell) for cast, cell in zip(casts, line))) for line in reader]
         assert len(parsed) == len(rows)
         second = str(tmp_path / "rows2.csv")
-        write_result_rows(parsed, second)
+        write_result_rows(parsed, second, row_type)
         assert Path(path).read_bytes() == Path(second).read_bytes()
 
     def test_header_matches_contract(self, tmp_path):
@@ -304,19 +312,17 @@ class TestResultCsv:
             "holds_vc,holds_gaussian,holds_covering,holds_surrogate,"
             "test_accuracy,vacuous_vc,elapsed_ms"
         )
-        assert CSV_HEADER == expected
         assert Path(path).read_text() == expected + "\n"
 
     def test_sweep_header_matches_contract(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
-        write_sweep_rows([], path)
+        write_result_rows([], path, SweepRow)
         expected = (
             "axis,value,status,trials,mean_test_accuracy,test_accuracy_se,"
             "mean_avg_empirical_loss,mean_bound_vc,mean_bound_gaussian,"
             "mean_bound_covering,mean_bound_surrogate,hold_freq_vc,"
             "hold_freq_gaussian,hold_freq_covering,hold_freq_surrogate,error"
         )
-        assert SWEEP_CSV_HEADER == expected
         assert Path(path).read_text() == expected + "\n"
 
 
@@ -332,28 +338,40 @@ class TestResultCsv:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "689ef1d984e14610b59db8045aab8b6ad0fffca8f565240b8d3e45f6cded8821"
 
+    def test_sweep_csv_is_pinned(self, tmp_path, capsys):
+        # Golden output: the sweep CSV of configs/sweep.json over n = 50 and
+        # 500, by sha256 (md5 e17a55ed...), as the code gave it when its rows
+        # were still dicts written cell by cell. Run through the CLI, so the
+        # pin covers the command's sweep and writer calls as shipped.
+        path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(CONFIGS / "sweep.json"), "--axis", "n",
+                     "--values", "50,500", "--output", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["statuses"] == ["ok", "ok"]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "4f87b7ba676da9e768b55a187b823533b1a371ce2b4f772454a11896acd647a9"
+
 
 class TestSweep:
     def test_single_value_matches_validity_experiment(self):
         config = small_config()
         rows = sweep(config, "n", [6])
         _, summary = bound_validity_experiment(config)
-        assert rows[0]["status"] == "ok"
-        assert rows[0]["mean_test_accuracy"] == summary["mean_test_accuracy"]
-        assert rows[0]["hold_freq_vc"] == summary["hold_freq_vc"]
-        assert rows[0]["mean_bound_vc"] == summary["mean_bound_vc"]
+        assert rows[0].status == "ok"
+        assert rows[0].mean_test_accuracy == summary["mean_test_accuracy"]
+        assert rows[0].hold_freq_vc == summary["hold_freq_vc"]
+        assert rows[0].mean_bound_vc == summary["mean_bound_vc"]
 
     def test_invalid_value_marks_error_and_continues(self):
         rows = sweep(small_config(), "n", [0, 6])
-        assert rows[0]["status"] == "error" and rows[1]["status"] == "ok"
+        assert rows[0].status == "error" and rows[1].status == "ok"
 
     def test_axis_m_requires_unsplit(self):
         rows = sweep(small_config(), "m", [12])
-        assert rows[0]["status"] == "error"
+        assert rows[0].status == "error"
 
     def test_axis_s_updates_m(self):
         rows = sweep(small_config(trials=1), "s", [3])
-        assert rows[0]["status"] == "ok"
+        assert rows[0].status == "ok"
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -361,20 +379,21 @@ class TestSweep:
 
     def test_value_where_every_trial_fails_is_an_error(self, tmp_path):
         rows = sweep(unsplit_config(m=4, n=50, trials=3), "n", [3])
-        assert rows[0]["status"] == "error"
-        assert rows[0]["error"] == "all 3 trials failed (ValueError: 3)"
+        assert rows[0].status == "error"
+        assert rows[0].error == "all 3 trials failed (ValueError: 3)"
         path = str(tmp_path / "sweep.csv")
-        write_sweep_rows(rows, path)
+        write_result_rows(rows, path, SweepRow)
         line = Path(path).read_bytes().decode().split("\n")[1]
         assert line == "n,3,error,0" + "," * 12 + "all 3 trials failed (ValueError: 3)"
 
     def test_error_text_stays_on_one_row(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
-        write_sweep_rows([{"axis": "n", "value": 0, "status": "error", "error": "a\nb,c\r\nd"}], path)
+        write_result_rows([SweepRow("n", 0, "error", error="a\nb,c\r\nd")], path, SweepRow)
         lines = Path(path).read_bytes().decode().split("\n")
-        assert lines[0] == SWEEP_CSV_HEADER and lines[2:] == [""]
-        fields = lines[1].split(",")
-        assert len(fields) == len(SWEEP_CSV_HEADER.split(",")) and fields[-1] == "a b;c  d"
+        header = [f.name for f in fields(SweepRow)]
+        assert lines[0] == ",".join(header) and lines[2:] == [""]
+        cells = lines[1].split(",")
+        assert len(cells) == len(header) and cells[-1] == "a b;c  d"
 
 
 class TestPairedBoundInequalities:
@@ -552,6 +571,6 @@ def test_transfer_risk_peak_memory_does_not_grow_with_draws():
 def test_make_base_learner_kinds():
     for kind in ("nearest_centroid", "linear_multimargin", "linear_softmax"):
         learner = make_base_learner(LearnerSpec(kind=kind, steps=3), 1.0, 1.0)
-        task = sample_task(ENV, 0)
-        scorer = learner(sample_episode(task, 12, 0), make_feature_family(8, 8, 1, "identity", 0).maps[0])[0]
+        (episode,) = sample_episode_batches(ENV, 1, 0, [(12, None)])
+        scorer = learner(episode, make_feature_family(8, 8, 1, "identity", 0).maps[0])[0]
         assert np.abs(scorer.scores_matrix(np.zeros((1, 8)))).max() <= 1.0
