@@ -4,8 +4,8 @@ Subcommands: ``bound`` evaluates a transfer bound from flags,
 ``estimate`` runs a complexity estimator on a CSV function-value
 matrix, ``simulate`` runs a bound-validity experiment from a JSON
 config, and ``sweep`` repeats it along one parameter axis. Exit codes:
-0 on success, 2 on invalid flags or config (or flags that ask for more
-memory than the machine has), 3 on numeric failure.
+0 on success, 2 on bad input, such as an integer beyond float range or a
+size no array or memory can hold, 3 on a numeric failure leaving no result.
 
 A run's seed is ``--seed`` if given, else the config's (``estimate``:
 0). Its output CSV is ``--output`` (default: results.csv or sweep.csv in
@@ -201,17 +201,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_sweep(args)
+        commands = {"bound": _cmd_bound, "estimate": _cmd_estimate, "simulate": _cmd_simulate, "sweep": _cmd_sweep}
+        return commands[args.command](args)
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:  # OverflowError: an int beyond float
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

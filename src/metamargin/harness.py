@@ -33,7 +33,6 @@ from .bounds import (
     vc_transfer_bound,
 )
 from .complexity import (
-    FunctionValueMatrix,
     build_pi1f_restriction,
     entropy_integral,
     episode_restrictions,
@@ -45,6 +44,7 @@ from .core import (
     SeedPolicy,
     _episode_blocks,
     _episode_shape,
+    _seed64,
     sample_meta_sample,
 )
 from .learners import (
@@ -183,6 +183,7 @@ class ExperimentConfig:
                      "dudley_levels", "test_episodes", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        _seed64(self.seed)  # a run's seed must lie in [0, 2**64)
         if self.mc_draws < 2:  # a standard error needs two draws
             raise ValueError("mc_draws must be >= 2")
         if self.loss_kind not in LOSS_KINDS:
@@ -349,62 +350,66 @@ class ExpectedComplexities:
     gamma_task_mc_se: float
 
 
+def _reasons(counts: dict[str, int]) -> str:
+    """Failure counts by exception type, as "NumericError: 3", or "none"."""
+    return ", ".join(f"{name}: {count}" for name, count in counts.items()) or "none"
+
+
 def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFamily, base_learner: BaseLearner,
                                    seed: int) -> tuple[ExpectedComplexities, dict[str, dict[str, int]]]:
     """Average complexity inputs over fresh outer draws.
 
-    Draws where a learner fails (e.g. a class missing from an i.i.d.
-    episode) are skipped; at least one draw must succeed per level. The
-    single-task draws are fitted as one batch. Also returns the skipped
-    draws of each level by exception type, as ``failed_outer_draws_task``
-    and ``failed_outer_draws_meta``.
+    A draw whose fit fails (a NumericError, e.g. a class missing from an
+    i.i.d. episode) is skipped and counted; any other error is raised. If
+    every draw of a level fails, NumericError is raised with both levels'
+    counts. The single-task draws are fitted as one batch. Also returns
+    the skipped draws of each level by exception type, as
+    ``failed_outer_draws_task`` and ``failed_outer_draws_meta``.
     """
     env, bound = config.environment, config.bound
-
-    def complexities(A: FunctionValueMatrix, mc_seed: int) -> tuple[float, float, float]:
-        """max(0, Gaussian complexity), entropy integral and the Gaussian
-        complexity's standard error, of one restriction."""
-        gamma = gaussian_complexity_rowspace(A, config.mc_draws, mc_seed)
-        return max(0.0, gamma.mean), entropy_integral(A, config.dudley_levels), gamma.std_error
-
     policy = SeedPolicy(seed)
-    task_root = SeedPolicy(policy.child(0))
-    tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, task_root.master_seed,
-                               config.episode_shape)
-    task, task_failures = [], Counter()
-    for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k)):
-        if isinstance(A, Exception):
-            task_failures[type(A).__name__] += 1
-        else:
-            task.append(complexities(A, SeedPolicy(task_root.child(j)).child(2)))
-    meta_root = SeedPolicy(policy.child(1))
-    meta, meta_failures = [], Counter()
-    for j in range(config.outer_meta_draws):
-        unit = SeedPolicy(meta_root.child(j))
-        try:
-            batch = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
-            A = build_pi1f_restriction(batch, family, base_learner, bound.k)
-        except (ValueError, NumericError) as exc:
-            meta_failures[type(exc).__name__] += 1
-            continue
-        meta.append(complexities(A, unit.child(1)))
-    if not task or not meta:
-        raise NumericError("every outer draw failed while estimating expected complexities")
+    task_root, meta_root = SeedPolicy(policy.child(0)), SeedPolicy(policy.child(1))
 
-    def level(draws: list, name: str) -> dict[str, float]:
-        """The level's ExpectedComplexities fields: the mean Gaussian
-        complexity and entropy integral, summed in draw order, and their
-        standard errors."""
-        gammas, entropies, ses = zip(*draws)
-        k = len(draws)
+    def level(name: str, draws) -> tuple[dict[str, int], dict[str, float]]:
+        """Level ``name``'s failed fits by type, and its ExpectedComplexities
+        fields (none if every draw failed) from its (restriction or failed
+        fit's NumericError, Monte Carlo seed) draws: the mean max(0, Gaussian
+        complexity) and entropy integral, summed in draw order, and SEs."""
+        kept, failed = [], Counter()
+        for A, mc_seed in draws:
+            if isinstance(A, NumericError):
+                failed[type(A).__name__] += 1
+            else:
+                gamma = gaussian_complexity_rowspace(A, config.mc_draws, mc_seed)
+                kept.append((max(0.0, gamma.mean), entropy_integral(A, config.dudley_levels), gamma.std_error))
+        failed = dict(sorted(failed.items()))
+        if not kept:
+            return failed, {}
+        gammas, entropies, ses = zip(*kept)
+        k = len(kept)
         mc_se = math.sqrt(sum(se * se for se in ses)) / k
-        return {f"gamma_{name}": sum(gammas) / k, f"entropy_{name}": sum(entropies) / k,
-                f"gamma_{name}_se": _mean_se(gammas)[1] if k > 1 else mc_se,
-                f"entropy_{name}_se": _mean_se(entropies)[1], f"gamma_{name}_mc_se": mc_se}
+        return failed, {f"gamma_{name}": sum(gammas) / k, f"entropy_{name}": sum(entropies) / k,
+                        f"gamma_{name}_se": _mean_se(gammas)[1] if k > 1 else mc_se,
+                        f"entropy_{name}_se": _mean_se(entropies)[1], f"gamma_{name}_mc_se": mc_se}
 
-    expected = ExpectedComplexities(**level(task, "task"), **level(meta, "meta"))
-    return expected, {"failed_outer_draws_task": dict(sorted(task_failures.items())),
-                      "failed_outer_draws_meta": dict(sorted(meta_failures.items()))}
+    def meta_draw(j: int) -> tuple:
+        """Meta draw j's restriction, or its failed fit's error, and its Monte Carlo seed."""
+        unit = SeedPolicy(meta_root.child(j))
+        batch = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
+        try:
+            return build_pi1f_restriction(batch, family, base_learner, bound.k), unit.child(1)
+        except NumericError as exc:  # kept as a value, as episode_restrictions keeps a task's
+            return exc, unit.child(1)
+
+    tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, task_root.master_seed, config.episode_shape)
+    task_seeds = (SeedPolicy(task_root.child(j)).child(2) for j in range(config.outer_task_draws))
+    task_failures, task = level("task", zip(episode_restrictions(tasks, family, base_learner, bound.k), task_seeds))
+    meta_failures, meta = level("meta", map(meta_draw, range(config.outer_meta_draws)))  # one at a time
+    if not task or not meta:
+        raise NumericError("every outer draw of a level failed while estimating expected complexities "
+                           f"(task level: {_reasons(task_failures)}; meta level: {_reasons(meta_failures)})")
+    return ExpectedComplexities(**task, **meta), {"failed_outer_draws_task": task_failures,
+                                                  "failed_outer_draws_meta": meta_failures}
 
 
 @dataclass(frozen=True)
@@ -516,12 +521,12 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     """Run all trials; returns rows in trial order plus a summary with
     the hold frequency per bound kind.
 
-    Failed trials are dropped from the rows and from frequency denominators,
-    except that ``hold_freq_<kind>_attempted`` counts them as not held, and
-    are counted in total and by exception type (``failed_by_reason``); if
-    all fail, NumericError is raised with those counts. The summary also
-    counts the outer draws set-up skipped, by exception type, at each level
-    (``failed_outer_draws_task`` and ``failed_outer_draws_meta``).
+    A trial fails only by a failed fit (NumericError; other errors raise).
+    Failed trials leave the rows and frequency denominators, though
+    ``hold_freq_<kind>_attempted`` counts them as not held, and are counted
+    in total and by type (``failed_by_reason``); if all fail, NumericError
+    is raised with those counts. The summary also counts set-up's skipped
+    outer draws by type per level (``failed_outer_draws_{task,meta}``).
     """
     root = SeedPolicy(config.seed)
     family = build_family(config.family, config.environment.d_raw, root.child(0))
@@ -533,7 +538,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
         """The trial's row, or the name of the exception that failed it."""
         try:
             return _run_trial(t, config, family, base_learner, expected, trials_root.child(t))
-        except (ValueError, NumericError) as exc:
+        except NumericError as exc:  # any other error is raised: bad input fails the run
             return type(exc).__name__
 
     if config.workers == 1:  # a pool thread's own malloc arena costs 12% peak RSS
@@ -545,8 +550,7 @@ def bound_validity_experiment(config: ExperimentConfig) -> tuple[list[ResultRow]
     rows = [r for r in results if isinstance(r, ResultRow)]
     reasons = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
     if not rows:
-        counts = ", ".join(f"{name}: {count}" for name, count in reasons.items())
-        raise NumericError(f"all {config.trials} trials failed ({counts})")
+        raise NumericError(f"all {config.trials} trials failed ({_reasons(reasons)})")
     summary: dict = {
         "trials": config.trials,
         "failed_trials": config.trials - len(rows),

@@ -28,7 +28,7 @@ DEFAULT_NORM_CAP = 1e6
 
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite loss or parameter."""
+    """A failed fit (a class missing from the support, a non-finite loss or weight) or a non-finite result."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +139,8 @@ def make_feature_family(
 
 # A base-learner maps a batch of episodes and a frozen feature map to one
 # scorer over the batch (see ScoringFunction): every episode is fitted at
-# once, and the episodes it cannot fit are flagged, not raised.
+# once, and the episodes it cannot fit are flagged, not raised: their
+# error, ``fit_error()``, is a NumericError (a ValueError is bad input).
 BaseLearner = Callable[[EpisodeBatch, FeatureMap], ScoringFunction]
 
 
@@ -197,7 +198,7 @@ class CentroidScorer(ScoringFunction):
                               self.failed[index])
 
     def fit_error(self) -> Exception:
-        return ValueError("a class is missing from the training portion; centroid undefined")
+        return NumericError("a class is missing from the training portion; centroid undefined")
 
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
         feats = _features(self.phi, xs)

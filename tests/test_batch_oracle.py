@@ -211,7 +211,7 @@ def test_missing_class_is_flagged_per_episode():
         close(scorer[l].centroids, ref_centroid(singles[l], phi, 1.0).centroids)
     with pytest.raises(ValueError):
         ref_centroid(singles[2], phi, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         require_fitted(nearest_centroid_learn(singles[2], phi, 1.0))
 
 
@@ -386,5 +386,5 @@ def test_episode_restrictions_skip_failed_episodes():
                 build_pi1f_restriction(episode, FAMILY, learner, ENV.k)
         else:
             close(A.values, ref_restriction([episode]))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         build_pi1f_restriction(batch, FAMILY, learner, ENV.k)

@@ -55,6 +55,14 @@ class TestBoundCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--k", "--m", "--n", "--v"])
+    def test_integer_beyond_float_range_exits_2(self, capsys, flag):
+        # a 401-digit integer is valid to argparse but has no float value
+        args = {"--k": "5", "--m": "100", "--n": "50", "--v": "17", flag: "1" + "0" * 400}
+        assert main(["bound", "--rho", "1", "--b", "1", *(x for pair in args.items() for x in pair)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_gaussian_kind(self, capsys):
         code = main(["bound", "--kind", "gaussian", "--k", "5", "--rho", "1", "--m", "100",
                      "--n", "50", "--v", "17", "--b", "1", "--gamma-meta", "0.01",
@@ -227,6 +235,50 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
         assert field in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"bound": {**CONFIG["bound"], "n": 10 ** 19}}, {"test_episodes": 10 ** 19},
+        {"test_points_per_task": 10 ** 19}], ids=["bound.n", "test_episodes", "test_points_per_task"])
+    def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys, overrides):
+        # numpy rejects an array of 10**19 entries with a ValueError: bad
+        # input, not a failed trial or outer draw
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, **overrides), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Maximum allowed") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_beyond_float_range_in_config_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bound={**CONFIG["bound"], "v": 10 ** 400})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: int too large to convert to float\n" and not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_config(tmp_path), "--output", str(out),
+                     "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    def test_every_outer_draw_failing_exits_3(self, tmp_path, capsys):
+        # configs/default.json at k=3 with unsplit 2-point episodes: every
+        # episode misses a class, so every fit of set-up's 20 task draws
+        # and 3 meta draws fails
+        data = json.loads((CONFIGS / "default.json").read_text())
+        data["environment"]["k"] = 3
+        data["bound"].update(k=3, m=2)
+        del data["episode_shape"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: every outer draw of a level failed while estimating expected complexities "
+            "(task level: NumericError: 20; meta level: NumericError: 3)\n")
+        assert not out.exists()
+
     def test_every_trial_failing_exits_3(self, tmp_path, capsys):
         # configs/default.json at k=3 with unsplit 4-point episodes and
         # n=3: at seed 5 each trial's meta-sample has an episode that
@@ -240,7 +292,7 @@ class TestSimulateCommand:
         path.write_text(json.dumps(data))
         out = tmp_path / "results.csv"
         assert main(["simulate", "--config", str(path), "--output", str(out), "--seed", "5"]) == 3
-        assert "all 3 trials failed (ValueError: 3)" in capsys.readouterr().err
+        assert "all 3 trials failed (NumericError: 3)" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -258,6 +310,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "4",
                      "--output", str(tmp_path / "s.csv")]) == 2
         assert "lr" in capsys.readouterr().err
+
+    def test_size_beyond_memory_is_an_error_row(self, tmp_path, capsys):
+        # n = 1e19 asks for a meta-sample no array can hold: numpy's
+        # ValueError is that value's error row, and the sweep goes on
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write_config(tmp_path), "--axis", "n", "--values", "50,1e19",
+                     "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["ok", "error"]
+        assert rows[1][-1] == "Maximum allowed size exceeded"
 
     def test_bad_values_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -197,7 +197,7 @@ class TestBoundValidity:
 
     def test_failed_trials_counted_by_reason(self, tmp_path):
         rows, summary = bound_validity_experiment(unsplit_config(m=8, n=3, trials=6))
-        assert summary["failed_trials"] == 3 and summary["failed_by_reason"] == {"ValueError": 3}
+        assert summary["failed_trials"] == 3 and summary["failed_by_reason"] == {"NumericError": 3}
         path = str(tmp_path / "rows.csv")
         write_result_rows(rows, path)
         lines = Path(path).read_text().splitlines()
@@ -228,8 +228,8 @@ class TestBoundValidity:
             for j in range(config.outer_meta_draws))
         assert 0 < task_failed < config.outer_task_draws and 0 < meta_failed < config.outer_meta_draws
         _, summary = bound_validity_experiment(config)
-        assert summary["failed_outer_draws_task"] == {"ValueError": task_failed}
-        assert summary["failed_outer_draws_meta"] == {"ValueError": meta_failed}
+        assert summary["failed_outer_draws_task"] == {"NumericError": task_failed}
+        assert summary["failed_outer_draws_meta"] == {"NumericError": meta_failed}
         _, clean = bound_validity_experiment(small_config())
         assert clean["failed_outer_draws_task"] == {} and clean["failed_outer_draws_meta"] == {}
 
@@ -380,11 +380,11 @@ class TestSweep:
     def test_value_where_every_trial_fails_is_an_error(self, tmp_path):
         rows = sweep(unsplit_config(m=4, n=50, trials=3), "n", [3])
         assert rows[0].status == "error"
-        assert rows[0].error == "all 3 trials failed (ValueError: 3)"
+        assert rows[0].error == "all 3 trials failed (NumericError: 3)"
         path = str(tmp_path / "sweep.csv")
         write_result_rows(rows, path, SweepRow)
         line = Path(path).read_bytes().decode().split("\n")[1]
-        assert line == "n,3,error,0" + "," * 12 + "all 3 trials failed (ValueError: 3)"
+        assert line == "n,3,error,0" + "," * 12 + "all 3 trials failed (NumericError: 3)"
 
     def test_error_text_stays_on_one_row(self, tmp_path):
         path = str(tmp_path / "sweep.csv")

@@ -190,7 +190,7 @@ class TestNearestCentroid:
     def test_missing_class_rejected(self):
         ep = EpisodeBatch(np.zeros((1, 2, 2)), np.array([[1, 1]]), 2)
         phi = make_feature_family(2, 2, 1, "identity", 0).maps[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             require_fitted(nearest_centroid_learn(ep, phi, 1.0))
 
     def test_trains_on_support_only(self):

@@ -186,6 +186,9 @@ def _config_data(path=(), value=None, delete=False):
     (("episode_shape",), [5, 15], "EpisodeShape needs a JSON object"),
     (("environment",), [16, 5], "EnvironmentSpec needs a JSON object"),
     (("family", "groups", 0, "d"), 4, "unknown FamilyGroup keys: d"),
+    (("seed",), -1, r"seed must lie in \[0, 2\*\*64\), got -1"),
+    (("seed",), 2**64, r"seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+    (("seed",), -2**64, r"seed must lie in \[0, 2\*\*64\), got -18446744073709551616"),
 ])
 def test_config_rejects_unknown_keys_and_mistyped_values(path, value, message):
     with pytest.raises(ValueError, match=message):
