@@ -420,6 +420,9 @@ def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    # 2.0 ** -i rounds to 0.0 for every i >= 1075, so alpha_i = 0.0 there and each later
+    # level adds +0.0: levels past 1074 cannot change the sum, and are not computed.
+    levels = min(levels, 1074)
     vals = A.values
     L = float(np.sqrt(np.einsum("ij,ij->i", vals, vals) / vals.shape[1]).max())
     d2 = _normalized_sq_dists(vals)

@@ -13,8 +13,9 @@ Every sampler is a pure function of (spec, seed). Child seeds are
 derived from a master seed with a splitmix64-style mixer so that
 results do not depend on execution order or parallelism degree. Each
 task or episode draws from the stream ``np.random.default_rng(seed)``
-would give; the samplers derive the seed words of every stream of a draw
-at once and set one generator to each stream's PCG64 state in turn.
+would give; the samplers derive the seed words of every stream of a block
+of units at once and set one generator to each stream's PCG64 state in
+turn.
 """
 
 from __future__ import annotations
@@ -377,10 +378,11 @@ def _episode_blocks(
 ) -> Iterator[tuple[EpisodeBatch, ...]]:
     """``sample_episode_batches(env, count, seed, plan)`` in blocks of at
     most ``block`` units: yields one batch per plan entry for each block,
-    units in order. The child seeds and SeedSequence words of all units are
-    derived in one pass; a block's words become PCG64 states only when the
-    block is drawn, and one generator draws every stream. So the blocks are
-    rows of one draw, whatever ``block``.
+    units in order. A block's child seeds and SeedSequence words are derived
+    in one pass when the block is drawn (a unit's seeds depend only on its
+    index), and one generator draws every stream. So the blocks are rows of
+    one draw, whatever ``block``, and nothing is held for the units of later
+    blocks.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -390,19 +392,22 @@ def _episode_blocks(
             raise ValueError(f"m must be >= 1, got {m}")
         if shape is not None and m != shape.m(env.k):
             raise ValueError(f"m={m} must equal k*(s+q)={shape.m(env.k)}")
-    units = _child_seeds(_seed64(seed), np.arange(count, dtype=np.uint64))
-    seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
-    words = _seed_sequence_state(seeds.ravel()).reshape(len(plan) + 1, count, 4)
+    seed = _seed64(seed)
     rng = np.random.Generator(np.random.PCG64(0))
+
+    def draw(a: int) -> tuple[EpisodeBatch, ...]:
+        units = _child_seeds(seed, np.arange(a, min(a + block, count), dtype=np.uint64))
+        seeds = _child_seeds(units, np.arange(len(plan) + 1, dtype=np.uint64)[:, None])
+        words = _seed_sequence_state(seeds.ravel()).reshape(len(plan) + 1, units.size, 4)
+        protos, probs = _draw_tasks(env, _stream_states(words[0]), rng)
+        return tuple(EpisodeBatch(*_draw_episodes(protos, probs, env.noise_sigma, m, shape,
+                                                  _stream_states(words[i + 1]), rng), env.k, shape)
+                     for i, (m, shape) in enumerate(plan))
+
+    # The block is drawn in draw's frame, so this generator holds none of it
+    # while the caller draws the next: a consumer can hold one block at a time.
     for a in range(0, count, block):
-        rows = slice(a, a + block)
-        protos, probs = _draw_tasks(env, _stream_states(words[0, rows]), rng)
-        batches = []
-        for i, (m, shape) in enumerate(plan):
-            xs, ys = _draw_episodes(protos, probs, env.noise_sigma, m, shape,
-                                    _stream_states(words[i + 1, rows]), rng)
-            batches.append(EpisodeBatch(xs, ys, env.k, shape))
-        yield tuple(batches)
+        yield draw(a)
 
 
 def sample_episode_batches(

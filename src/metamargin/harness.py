@@ -243,23 +243,30 @@ def _mean_se(values) -> tuple[float, float]:
 
 
 def _fresh_episode_scores(env: EnvironmentSpec, phi: FeatureMap, base_learner: BaseLearner,
-                          count: int, seed: int, plan: list):
+                          count: int, seed: int, plan: list, record) -> int:
     """Fit and score the ``count`` units ``sample_episode_batches`` draws from
     ``seed`` and ``plan`` in blocks of at most ``_QUERY_BLOCK_VALUES`` input
     values (one unit at least): fit each unit's first episode with phi and
-    score the query portion of its last. Yields per block the fitted units'
-    indices, scores, labels and hits; none of them depends on the block."""
+    score the query portion of its last. Calls ``record(rows, scores, labels,
+    hits)`` per block with the fitted units' indices, scores, labels and hits
+    (none of them depends on the block), and returns the number of fitted
+    units. Nothing of a block is referenced after its ``record`` returns, so
+    one block is alive at a time."""
     block = max(1, _QUERY_BLOCK_VALUES // (sum(m for m, _ in plan) * env.d_raw))
-    a = 0
-    for batches in _episode_blocks(env, count, seed, plan, block):
+
+    def fit_and_score(a: int, batches) -> int:
         scorer = base_learner(batches[0], phi)
         qx, qy = batches[-1].query()
         ok = ~scorer.failed
         if not ok.all():  # masking copies, so only when some unit failed
             scorer, qx, qy = scorer[ok], qx[ok], qy[ok]
         scores = scorer.scores_matrix(qx)
-        yield a + np.flatnonzero(ok), scores, qy, scores.argmax(axis=-1) + 1 == qy
-        a += len(ok)
+        rows = a + np.flatnonzero(ok)
+        record(rows, scores, qy, scores.argmax(axis=-1) + 1 == qy)
+        return rows.size
+
+    # map holds neither block nor result while it draws the next block; a for loop's variables would
+    return sum(map(fit_and_score, range(0, count, block), _episode_blocks(env, count, seed, plan, block)))
 
 
 def estimate_transfer_risk(
@@ -287,12 +294,15 @@ def estimate_transfer_risk(
     if env.k < 2:
         raise ValueError("transfer risk needs k >= 2 (margins are undefined otherwise)")
     losses = np.ones((task_draws, test_points))
-    fitted = hits = 0
-    for rows, scores, ys, block_hits in _fresh_episode_scores(
-            env, phi, base_learner, task_draws, seed, [(m, shape), (test_points, None)]):
+    hits = 0
+
+    def record(rows, scores, ys, block_hits) -> None:
+        nonlocal hits
         losses[rows] = margin_loss_array(rho, margin_terms(scores, ys, rho)[0])
-        fitted += rows.size
         hits += int(block_hits.sum())
+
+    fitted = _fresh_episode_scores(env, phi, base_learner, task_draws, seed,
+                                   [(m, shape), (test_points, None)], record)
     if not fitted:
         raise NumericError("all transfer-risk draws failed")
     risk, se = _mean_se(losses.ravel())
@@ -315,8 +325,11 @@ def query_split_accuracy(
     plan = [(_episode_shape(shape).m(env.k), shape)]
     strict = lambda batch, p: require_fitted(base_learner(batch, p))
     accs = np.empty(episodes)
-    for rows, _, _, hits in _fresh_episode_scores(env, phi, strict, episodes, seed, plan):
+
+    def record(rows, scores, ys, hits) -> None:
         accs[rows] = hits.mean(axis=-1)
+
+    _fresh_episode_scores(env, phi, strict, episodes, seed, plan, record)
     return _mean_se(accs)
 
 
@@ -370,18 +383,24 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
     policy = SeedPolicy(seed)
     task_root, meta_root = SeedPolicy(policy.child(0)), SeedPolicy(policy.child(1))
 
+    def reduce(A, mc_seed: int):
+        """Restriction A's (max(0, Gaussian complexity), entropy integral,
+        Monte Carlo SE), or A itself if it is a failed fit's NumericError."""
+        if isinstance(A, NumericError):
+            return A
+        gamma = gaussian_complexity_rowspace(A, config.mc_draws, mc_seed)
+        return max(0.0, gamma.mean), entropy_integral(A, config.dudley_levels), gamma.std_error
+
     def level(name: str, draws) -> tuple[dict[str, int], dict[str, float]]:
         """Level ``name``'s failed fits by type, and its ExpectedComplexities
-        fields (none if every draw failed) from its (restriction or failed
-        fit's NumericError, Monte Carlo seed) draws: the mean max(0, Gaussian
-        complexity) and entropy integral, summed in draw order, and SEs."""
+        fields (none if every draw failed) from its draws' ``reduce`` values:
+        the means, summed in draw order, and SEs."""
         kept, failed = [], Counter()
-        for A, mc_seed in draws:
-            if isinstance(A, NumericError):
-                failed[type(A).__name__] += 1
+        for stats in draws:
+            if isinstance(stats, NumericError):
+                failed[type(stats).__name__] += 1
             else:
-                gamma = gaussian_complexity_rowspace(A, config.mc_draws, mc_seed)
-                kept.append((max(0.0, gamma.mean), entropy_integral(A, config.dudley_levels), gamma.std_error))
+                kept.append(stats)
         failed = dict(sorted(failed.items()))
         if not kept:
             return failed, {}
@@ -392,19 +411,24 @@ def estimate_expected_complexities(config: ExperimentConfig, family: FeatureFami
                         f"gamma_{name}_se": _mean_se(gammas)[1] if k > 1 else mc_se,
                         f"entropy_{name}_se": _mean_se(entropies)[1], f"gamma_{name}_mc_se": mc_se}
 
-    def meta_draw(j: int) -> tuple:
-        """Meta draw j's restriction, or its failed fit's error, and its Monte Carlo seed."""
+    def meta_draw(j: int):
+        """Meta draw j, reduced: its meta-sample and restriction die on return."""
         unit = SeedPolicy(meta_root.child(j))
         batch = sample_meta_sample(env, bound.n, bound.m, unit.child(0), config.episode_shape)
         try:
-            return build_pi1f_restriction(batch, family, base_learner, bound.k), unit.child(1)
-        except NumericError as exc:  # kept as a value, as episode_restrictions keeps a task's
-            return exc, unit.child(1)
+            A = build_pi1f_restriction(batch, family, base_learner, bound.k)
+        except NumericError as exc:  # kept as a value, as episode_restrictions keeps a task's;
+            return exc.with_traceback(None)  # its traceback would keep the draw's frames alive
+        return reduce(A, unit.child(1))
 
+    # Each outer draw is reduced where it is drawn, so set-up holds one meta
+    # restriction at a time, and none of the task level's during the meta level.
     tasks = sample_meta_sample(env, config.outer_task_draws, bound.m, task_root.master_seed, config.episode_shape)
-    task_seeds = (SeedPolicy(task_root.child(j)).child(2) for j in range(config.outer_task_draws))
-    task_failures, task = level("task", zip(episode_restrictions(tasks, family, base_learner, bound.k), task_seeds))
-    meta_failures, meta = level("meta", map(meta_draw, range(config.outer_meta_draws)))  # one at a time
+    task_draws = [reduce(A, SeedPolicy(task_root.child(j)).child(2))
+                  for j, A in enumerate(episode_restrictions(tasks, family, base_learner, bound.k))]
+    del tasks
+    task_failures, task = level("task", task_draws)
+    meta_failures, meta = level("meta", map(meta_draw, range(config.outer_meta_draws)))
     if not task or not meta:
         raise NumericError("every outer draw of a level failed while estimating expected complexities "
                            f"(task level: {_reasons(task_failures)}; meta level: {_reasons(meta_failures)})")

@@ -131,6 +131,17 @@ class TestEstimateCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--estimator", "massart"]) == 2
 
+    @pytest.mark.parametrize("estimator", ["entropy", "dudley"])
+    def test_levels_past_1074_end(self, tmp_path, capsys, estimator):
+        # a 401-digit --levels is computed as 1074 levels, since later ones add nothing
+        path = str(tmp_path / "matrix.csv")
+        FunctionValueMatrix(values=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), b=1.0).to_csv(path)
+        values = []
+        for levels in (1074, 10 ** 400):
+            assert main(["estimate", "--input", path, "--estimator", estimator, "--levels", str(levels)]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[0] == values[1] > 0
+
     @pytest.mark.parametrize("estimator", ["gaussian", "rademacher"])
     def test_draws_beyond_memory_exit_2(self, tmp_path, capsys, estimator):
         # 10**15 draws ask for an 8 PB array of sups, which fails before any
@@ -246,6 +257,18 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: Maximum allowed") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_dudley_levels_past_1074_end(self, tmp_path, capsys):
+        # set-up's entropy integrals stop at level 1074, where every later
+        # scale is 0.0, so a 401-digit dudley_levels runs like 1074
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, dudley_levels=10 ** 400),
+                     "--output", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert main(["simulate", "--config", write_config(tmp_path, dudley_levels=1074),
+                     "--output", str(tmp_path / "y.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["expected_complexities"] == summary["expected_complexities"]
+        assert out.read_bytes() == (tmp_path / "y.csv").read_bytes()
 
     def test_integer_beyond_float_range_in_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bound={**CONFIG["bound"], "v": 10 ** 400})

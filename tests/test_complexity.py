@@ -871,6 +871,14 @@ class TestEntropyIntegral:
         with pytest.raises(ValueError):
             entropy_integral(A, 0)
 
+    def test_levels_past_1074_add_nothing(self):
+        # 2.0 ** -i rounds to 0.0 for i >= 1075, so a level past 1074 adds
+        # +0.0; a duplicated row makes the covers scan every scale
+        rows = np.random.default_rng(36).uniform(-1, 1, size=(319, 100))
+        A = FunctionValueMatrix(values=np.vstack([rows, rows[:1]]), b=1.0)
+        values = [entropy_integral(A, levels).hex() for levels in (1074, 1200, 2000, 10 ** 400)]
+        assert values == values[:1] * 4
+
     def test_memory_does_not_grow_with_levels(self):
         A = FunctionValueMatrix(values=np.random.default_rng(35).uniform(-1, 1, size=(200, 10)), b=1.0)
 

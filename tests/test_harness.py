@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -13,12 +14,13 @@ from conftest import ConstantScorer
 from metamargin.cli import main
 from metamargin.bounds import BoundInputs, gaussian_transfer_bound, covering_transfer_bound, \
     surrogate_multimargin_bound, vc_transfer_bound
-from metamargin import harness
+from metamargin import core, harness
 from metamargin.complexity import (
     ComplexityEstimate,
     build_pi1f_restriction,
     dudley_bound,
     entropy_integral,
+    episode_restrictions,
     gaussian_complexity_mc,
     gaussian_complexity_rowspace,
     massart_bound,
@@ -49,7 +51,7 @@ from metamargin.harness import (
     sweep,
     write_result_rows,
 )
-from metamargin.learners import make_feature_family, meta_erm_select, nearest_centroid_learn
+from metamargin.learners import NumericError, make_feature_family, meta_erm_select, nearest_centroid_learn
 from metamargin.losses import episode_losses, margin_terms
 
 ENV = EnvironmentSpec(d_raw=8, k=3, prototype_scale=1.0, noise_sigma=1.0)
@@ -454,6 +456,76 @@ class TestPairedBoundInequalities:
             slack = 4.0 * estimate.std_error
             assert estimate.mean <= massart_bound(A) + slack
             assert estimate.mean <= dudley_bound(A, config.dudley_levels) + slack
+
+
+@pytest.mark.parametrize("make_config, failed_meta", [
+    (lambda: small_config(outer_meta_draws=3), {}),
+    (lambda: replace(unsplit_config(m=8, n=3, trials=1), seed=8), {"NumericError": 1}),
+], ids=["fitted", "failed-fits"])
+def test_set_up_holds_one_outer_draw_at_a_time(monkeypatch, make_config, failed_meta):
+    # Set-up reduces each outer draw where it is drawn. When a meta-sample
+    # is drawn or its restriction built, no earlier draw is alive: not an
+    # earlier meta-sample (a failed fit's error keeps no traceback to it) or
+    # restriction, and not the task level's batch or any of its per-episode
+    # restrictions.
+    draws, alive_at_sample, alive_at_build = [], [], []
+    alive = lambda: sum(ref() is not None for ref in draws)
+
+    def sample(*args):
+        alive_at_sample.append(alive())
+        batch = sample_meta_sample(*args)
+        draws.append(weakref.ref(batch))
+        return batch
+
+    def task_restrictions(*args):
+        out = episode_restrictions(*args)
+        draws.extend(weakref.ref(A) for A in out if not isinstance(A, NumericError))
+        return out
+
+    def restriction(*args):
+        alive_at_build.append(alive())
+        A = build_pi1f_restriction(*args)
+        draws.append(weakref.ref(A))
+        return A
+
+    monkeypatch.setattr(harness, "sample_meta_sample", sample)
+    monkeypatch.setattr(harness, "episode_restrictions", task_restrictions)
+    monkeypatch.setattr(harness, "build_pi1f_restriction", restriction)
+    config = make_config()
+    _, summary = bound_validity_experiment(config)
+    # the task level's batch, then the meta-samples; each meta-sample is
+    # alive (and only it) while its restriction is built
+    assert alive_at_sample[:1 + config.outer_meta_draws] == [0] * (1 + config.outer_meta_draws)
+    assert alive_at_build == [1] * config.outer_meta_draws
+    assert summary["failed_outer_draws_meta"] == failed_meta
+
+
+@pytest.mark.parametrize("evaluator", ["transfer_risk", "query_split"])
+def test_fresh_episode_evaluators_hold_one_block(monkeypatch, evaluator):
+    # When a block's tasks are drawn, the inputs of every earlier block
+    # are dead: neither the evaluator nor its consumer keeps them.
+    inputs, alive = [], []
+    blocks, draw_tasks = harness._episode_blocks, core._draw_tasks
+
+    def record(batches):
+        inputs.extend(weakref.ref(batch.xs) for batch in batches)
+        return batches
+
+    def tasks(*args):
+        alive.append(sum(ref() is not None for ref in inputs))
+        return draw_tasks(*args)
+
+    # a map, unlike a wrapping generator, holds no block between two draws
+    monkeypatch.setattr(harness, "_episode_blocks", lambda *args: map(record, blocks(*args)))
+    monkeypatch.setattr(core, "_draw_tasks", tasks)
+    monkeypatch.setattr(harness, "_QUERY_BLOCK_VALUES", 1)  # one unit per block
+    phi = make_feature_family(8, 8, 1, "identity", 0).maps[0]
+    learner = lambda ep, p: nearest_centroid_learn(ep, p, 1.0)
+    if evaluator == "transfer_risk":
+        estimate_transfer_risk(ENV, phi, learner, 1.0, 12, 5, 10, 3, (2, 2))
+    else:
+        query_split_accuracy(ENV, phi, learner, (2, 2), 5, 3)
+    assert alive == [0] * 5
 
 
 def _config_without_shape():
