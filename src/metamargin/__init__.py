@@ -66,7 +66,6 @@ from .learners import (
     nearest_centroid_learn,
 )
 from .losses import (
-    ScoringFunction,
     episode_losses,
     margin_terms,
 )

@@ -61,8 +61,15 @@ def _print_json(payload: dict, indent: int | None = None) -> None:
     print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag prints one stderr line, ``error: <message>``, and exits 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="metamargin")
+    parser = _Parser(prog="metamargin")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate a transfer bound from flags")

@@ -273,6 +273,12 @@ def episode_restrictions(
     return out
 
 
+def _mean_se(values) -> tuple[float, float]:
+    """The mean of ``values`` and its standard error (0 for one value)."""
+    v = np.asarray(values, dtype=np.float64)
+    return float(v.mean()), (float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0)
+
+
 def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, seed: int,
                       gaussian: bool) -> ComplexityEstimate:
     """Mean and standard error over draws of max_rows (2/n_points) <row, noise>,
@@ -317,9 +323,7 @@ def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, s
         done += take
         words = None  # freed before the next chunk's words are drawn
     sups *= 2.0 / n_points
-    mean = float(sups.mean())
-    se = float(sups.std(ddof=1) / math.sqrt(draws))
-    return ComplexityEstimate(mean=mean, std_error=se, draws=draws)
+    return ComplexityEstimate(*_mean_se(sups), draws=draws)
 
 
 def _direct(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:

@@ -208,8 +208,8 @@ class EpisodeBatch:
             raise ValueError("episode must contain at least one example")
         if not np.all(np.isfinite(xs)):
             raise ValueError("episode inputs must be finite")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.k < 2:  # a margin needs a competing class
+            raise ValueError(f"k must be >= 2, got {self.k}")
         if ys.min() < 1 or ys.max() > self.k:
             raise ValueError(f"labels must lie in 1..{self.k}")
         if self.shape is not None:
@@ -283,8 +283,8 @@ class EnvironmentSpec:
     balanced: bool = True
 
     def __post_init__(self) -> None:
-        if self.d_raw < 1 or self.k < 1:
-            raise ValueError("d_raw and k must be positive integers")
+        if self.d_raw < 1 or self.k < 2:  # a margin needs a competing class
+            raise ValueError(f"need d_raw >= 1 and k >= 2, got d_raw={self.d_raw}, k={self.k}")
         if not (math.isfinite(self.prototype_scale) and self.prototype_scale >= 0):
             raise ValueError(f"prototype_scale must be finite and >= 0, got {self.prototype_scale}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):

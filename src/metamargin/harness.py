@@ -33,6 +33,7 @@ from .bounds import (
     vc_transfer_bound,
 )
 from .complexity import (
+    _mean_se,
     build_pi1f_restriction,
     entropy_integral,
     episode_restrictions,
@@ -236,12 +237,6 @@ class TransferRiskEstimate:
     failures: int
 
 
-def _mean_se(values) -> tuple[float, float]:
-    """The mean of ``values`` and its standard error (0 for one value)."""
-    v = np.asarray(values, dtype=np.float64)
-    return float(v.mean()), (float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0)
-
-
 def _fresh_episode_scores(env: EnvironmentSpec, phi: FeatureMap, base_learner: BaseLearner,
                           count: int, seed: int, plan: list, record) -> int:
     """Fit and score the ``count`` units ``sample_episode_batches`` draws from
@@ -291,8 +286,6 @@ def estimate_transfer_risk(
     """
     if task_draws < 1 or test_points < 1:
         raise ValueError("task_draws and test_points must be >= 1")
-    if env.k < 2:
-        raise ValueError("transfer risk needs k >= 2 (margins are undefined otherwise)")
     losses = np.ones((task_draws, test_points))
     hits = 0
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import EpisodeBatch
-from .losses import LOSS_KINDS, ScoringFunction, episode_losses, margin_terms
+from .losses import LOSS_KINDS, episode_losses, margin_terms
 
 FEATURE_KINDS = ("identity", "random_linear", "random_relu")
 
@@ -121,8 +121,6 @@ def make_feature_family(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"kind must be one of {FEATURE_KINDS}, got {kind!r}")
     if kind == "identity" and d != d_raw:
         raise ValueError(f"identity map requires d == d_raw, got d={d}, d_raw={d_raw}")
     rng = np.random.default_rng(seed)
@@ -135,13 +133,6 @@ def make_feature_family(
             tag = "linear" if kind == "random_linear" else "relu"
             maps.append(FeatureMap(id=f"{tag}-{i:02d}", kind=kind, d=d, weight=w, norm_cap=norm_cap))
     return FeatureFamily(maps=tuple(maps))
-
-
-# A base-learner maps a batch of episodes and a frozen feature map to one
-# scorer over the batch (see ScoringFunction): every episode is fitted at
-# once, and the episodes it cannot fit are flagged, not raised: their
-# error, ``fit_error()``, is a NumericError (a ValueError is bad input).
-BaseLearner = Callable[[EpisodeBatch, FeatureMap], ScoringFunction]
 
 
 def _features(phi: FeatureMap, xs: np.ndarray) -> np.ndarray:
@@ -164,21 +155,19 @@ def _check_linear(steps: int, lam: float, step_size: float, b: float) -> None:
                          f"step_size={step_size}")
 
 
-def require_fitted(scorer: ScoringFunction) -> ScoringFunction:
-    """``scorer``, unless its base-learner failed on some episode of the
-    batch; then the learner's error is raised."""
+def require_fitted(scorer):
+    """``scorer`` (see ``BaseLearner``), unless its base-learner failed on
+    some episode of the batch; then the learner's error is raised."""
     if np.any(scorer.failed):
         raise scorer.fit_error()
     return scorer
 
 
-class CentroidScorer(ScoringFunction):
+class CentroidScorer:
     """Scores by normalized negative distance to class centroids.
 
     centroids has shape (n, k, d) and scale (n,) for a scorer fitted on
-    a batch of n episodes. Indexing selects a sub-batch (a mask) or one
-    episode's scorer (an int), which has no episode axis and scores
-    (m, d_raw) inputs.
+    a batch of n episodes (the scorer contract is at ``BaseLearner``).
 
     Squared distances expand as ||f||^2 - 2 f.c + ||c||^2, every f.c of
     a call from one batched matmul. Near a centroid the expansion cancels:
@@ -219,12 +208,12 @@ class CentroidScorer(ScoringFunction):
         return np.clip(d2, -self.b, self.b, out=d2)
 
 
-class LinearScorer(ScoringFunction):
+class LinearScorer:
     """Linear class scores W phi(x), clamped to [-b, b].
 
     W has shape (n, k, d) and loss_history (steps, n) for a scorer
-    fitted on a batch of n episodes. Indexing selects a sub-batch (a
-    mask) or one episode's scorer (an int), which has no episode axis.
+    fitted on a batch of n episodes (the scorer contract is at
+    ``BaseLearner``).
     """
 
     def __init__(self, W: np.ndarray, b: float, phi: FeatureMap, loss_history, failed):
@@ -244,6 +233,16 @@ class LinearScorer(ScoringFunction):
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
         feats = _features(self.phi, xs)
         return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
+
+
+# A base-learner fits every episode of a batch of n at once, with a frozen
+# feature map, and returns one scorer over the batch. A scorer is any object
+# with: ``b``, which bounds every score; ``scores_matrix``, mapping (n, m, d_raw)
+# inputs to (n, m, k) scores, episode l scored by its own fit; ``failed``, an
+# (n,) bool mask of the episodes it could not fit, flagged, not raised, with
+# ``fit_error()`` their NumericError (a ValueError is bad input); and indexing,
+# by a mask for a sub-batch or by an int for one episode (no episode axis).
+BaseLearner = Callable[[EpisodeBatch, FeatureMap], CentroidScorer | LinearScorer]
 
 
 @functools.cache
@@ -273,15 +272,12 @@ def nearest_centroid_learn(batch: EpisodeBatch, phi: FeatureMap, b: float) -> Ce
     counts = onehot.sum(axis=1)
     sums = np.swapaxes(onehot, 1, 2) @ _features(phi, xs)
     centroids = sums / np.maximum(counts, 1.0)[..., None]
-    if k >= 2:
-        left, right = _pairs(k)
-        pairwise = np.linalg.norm(centroids[:, left] - centroids[:, right], axis=-1)
-        pairwise.sort(axis=-1)  # the median as np.median takes it: the middle one, or two's mean
-        half, odd = divmod(pairwise.shape[-1], 2)
-        scale = pairwise[:, half].copy() if odd else (pairwise[:, half - 1] + pairwise[:, half]) / 2
-        scale[np.isnan(pairwise[:, -1])] = np.nan  # NaNs sort last, and make np.median NaN
-    else:
-        scale = np.zeros(batch.n)
+    left, right = _pairs(k)
+    pairwise = np.linalg.norm(centroids[:, left] - centroids[:, right], axis=-1)
+    pairwise.sort(axis=-1)  # the median as np.median takes it: the middle one, or two's mean
+    half, odd = divmod(pairwise.shape[-1], 2)
+    scale = pairwise[:, half].copy() if odd else (pairwise[:, half - 1] + pairwise[:, half]) / 2
+    scale[np.isnan(pairwise[:, -1])] = np.nan  # NaNs sort last, and make np.median NaN
     scale[scale <= 0.0] = 1.0
     return CentroidScorer(centroids, scale, b, phi, failed=(counts == 0).any(axis=1))
 
@@ -304,8 +300,6 @@ def linear_multimargin_learn(
     ``failed``.
     """
     _check_linear(steps, lam, step_size, b)
-    if batch.k < 2:
-        raise ValueError("linear learner needs k >= 2")
     xs, ys = batch.support()
     feats = _features(phi, xs)
     n, m, d = feats.shape

@@ -1,8 +1,8 @@
 """Margin, ramp loss, multi-margin surrogate, and their empirical averages.
 
-A scoring function assigns each (input, class) pair a score in [-b, b].
-The margin at a labeled point is the true-class score minus the best
-competing score. The ramp loss counts a point as fully wrong at margin
+Everything here takes arrays of class scores, never a scorer. The margin
+at a labeled point is the true-class score minus the best competing
+score (so k >= 2). The ramp loss counts a point as fully wrong at margin
 <= 0, fully right at margin >= rho, and interpolates linearly between.
 The multi-margin loss is the per-competitor hinge average; it upper
 bounds the ramp loss via ramp(margin) <= (k-1) * multimargin.
@@ -13,23 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 LOSS_KINDS = ("margin", "multimargin")
-
-
-class ScoringFunction:
-    """Bounded class-score map. Subclasses implement ``scores_matrix``.
-
-    ``b`` is the score bound: concrete scorers clamp their outputs so
-    that |score(x, y)| <= b always holds. A scorer fitted on a batch of
-    n episodes maps (n, m, d_raw) inputs to (n, m, k) scores, episode l
-    scored by its own fit, and flags in the (n,) bool mask ``failed``
-    the episodes its base-learner could not fit.
-    """
-
-    b: float
-
-    def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Scores for inputs (..., m, d_raw), shape (..., m, k)."""
-        raise NotImplementedError
 
 
 def margin_terms(scores: np.ndarray, ys: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:

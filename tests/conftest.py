@@ -1,9 +1,7 @@
 import numpy as np
 
-from metamargin.losses import ScoringFunction
 
-
-class TableScorer(ScoringFunction):
+class TableScorer:
     """Test scorer: an input's first coordinate indexes a fixed table of
     score vectors."""
 
@@ -15,7 +13,7 @@ class TableScorer(ScoringFunction):
         return self.table[np.asarray(xs)[..., 0].astype(np.int64)]
 
 
-class ConstantScorer(ScoringFunction):
+class ConstantScorer:
     """All classes score the same constant value. With ``episodes`` set it
     stands for a scorer fitted on a batch of that many episodes."""
 

@@ -47,13 +47,20 @@ class TestBoundCommand:
             payload["empirical_term"] + payload["confidence_term"] + payload["complexity_term"])
 
     def test_missing_required_flag_exits_2(self, capsys):
-        assert main(["bound", "--k", "5"]) == 2
+        # the parser's error alone, without argparse's usage text
+        for argv, missing in [(["bound", "--k", "5"], "--rho, --n, --v, --b"), (["simulate"], "--config")]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: the following arguments are required: {missing}\n"
 
     def test_invalid_value_exits_2(self, capsys):
         code = main(["bound", "--k", "1", "--rho", "1", "--m", "10", "--n", "10",
                      "--v", "1", "--b", "1"])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and err.count("\n") == 1
+        # argparse reads "-inf" as a flag, so --m has no value
+        assert main(["bound", "--k", "5", "--rho", "1", "--n", "50", "--v", "17", "--b", "1", "--m", "-inf"]) == 2
+        assert capsys.readouterr().err == "error: argument --m: expected one argument\n"
 
     @pytest.mark.parametrize("flag", ["--k", "--m", "--n", "--v"])
     def test_integer_beyond_float_range_exits_2(self, capsys, flag):

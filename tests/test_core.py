@@ -102,6 +102,12 @@ class TestTypes:
     def test_episode_label_range(self):
         with pytest.raises(ValueError):
             one_episode(np.zeros((2, 3)), np.array([1, 4]), 3)
+        with pytest.raises(ValueError, match="k must be >= 2"):  # one class leaves no margin
+            one_episode(np.zeros((2, 3)), np.array([1, 1]), 1)
+
+    def test_environment_needs_two_classes(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            EnvironmentSpec(d_raw=4, k=1, prototype_scale=1.0, noise_sigma=1.0)
 
     def test_episode_split_invariants(self):
         xs, ys = np.zeros((4, 2)), np.array([1, 2, 1, 2])
