@@ -12,6 +12,7 @@ from .bounds import (
     kway_sshot_complexity_term,
     sample_efficiency_min_m,
     surrogate_multimargin_bound,
+    transfer_bound,
     vc_transfer_bound,
 )
 from .complexity import (

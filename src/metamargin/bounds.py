@@ -13,9 +13,10 @@ term, a confidence term sqrt(ln(1/delta) / 2n), and a complexity term:
 
 A surrogate form replaces the empirical ramp loss with (k-1) times the
 multi-margin loss, and a specialization rewrites the complexity term
-for episodes with s support and q query points per class. Totals are
-reported raw: anything >= 1 is vacuous for a [0,1]-valued loss and is
-flagged as such rather than clipped. All logarithms are natural.
+for episodes with s support and q query points per class.
+``transfer_bound`` evaluates any kind. Totals are reported raw: anything
+>= 1 is vacuous for a [0,1]-valued loss and is flagged as such rather
+than clipped. All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 from .core import EpisodeShape
 
 DEFAULT_C0 = math.e
-# The transfer bounds a validity trial evaluates, in results CSV column order.
-BOUND_KINDS = ("vc", "gaussian", "covering", "surrogate")
 
 
 class InfeasibleError(ValueError):
@@ -129,13 +128,16 @@ def _margin_loss(value: float) -> float:
     return value
 
 
-def vc_transfer_bound(inputs: BoundInputs, avg_empirical_margin_loss: float) -> BoundReport:
-    """avg loss + confidence + (k/(rho sqrt(m)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2)."""
-    empirical = _margin_loss(avg_empirical_margin_loss)
+def _vc_complexity(inputs: BoundInputs) -> float:
+    """The VC bound's complexity term, for ``vc``, ``surrogate`` and ``kway_sshot`` alike."""
     c1, c2 = constants_c1_c2(inputs.b, inputs.c0)
     rate = inputs.k / (inputs.rho * math.sqrt(inputs.m)) + inputs.k / (inputs.rho * math.sqrt(inputs.n))
-    complexity = rate * (c1 * math.sqrt(inputs.v) + c2)
-    return _report("vc", inputs, empirical, complexity)
+    return rate * (c1 * math.sqrt(inputs.v) + c2)
+
+
+def vc_transfer_bound(inputs: BoundInputs, avg_empirical_margin_loss: float) -> BoundReport:
+    """avg loss + confidence + (k/(rho sqrt(m)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2)."""
+    return _report("vc", inputs, _margin_loss(avg_empirical_margin_loss), _vc_complexity(inputs))
 
 
 def gaussian_transfer_bound(
@@ -189,8 +191,26 @@ def surrogate_multimargin_bound(inputs: BoundInputs, avg_multimargin_loss: float
     _require_finite(avg_multimargin_loss=avg_multimargin_loss)
     if avg_multimargin_loss < 0:
         raise ValueError("average multi-margin loss must be >= 0")
-    complexity = vc_transfer_bound(inputs, 0.0).complexity_term
-    return _report("surrogate", inputs, (inputs.k - 1) * avg_multimargin_loss, complexity)
+    return _report("surrogate", inputs, (inputs.k - 1) * avg_multimargin_loss, _vc_complexity(inputs))
+
+
+# Each bound kind's evaluator and the statistics it reads, in argument order. The evaluator is
+# named, and looked up at call time, so that a wrapped or patched one sees every call.
+_EVALUATORS = {
+    "vc": ("vc_transfer_bound", ("avg_margin_loss",)),
+    "gaussian": ("gaussian_transfer_bound", ("avg_margin_loss", "gamma_meta", "gamma_task")),
+    "covering": ("covering_transfer_bound", ("avg_margin_loss", "entropy_meta", "entropy_task")),
+    "surrogate": ("surrogate_multimargin_bound", ("avg_multimargin_loss",)),
+}
+# The transfer bounds a validity trial evaluates, in results CSV column order.
+BOUND_KINDS = tuple(_EVALUATORS)
+
+
+def transfer_bound(kind: str, inputs: BoundInputs, **stats: float) -> BoundReport:
+    """The ``kind`` bound, one of BOUND_KINDS, from the ``stats`` that kind reads; it
+    ignores the others, so one set of statistics serves every kind."""
+    evaluator, reads = _EVALUATORS[kind]
+    return globals()[evaluator](inputs, *(stats[stat] for stat in reads))
 
 
 def kway_sshot_complexity_term(
@@ -200,8 +220,7 @@ def kway_sshot_complexity_term(
     (sqrt(k)/(rho sqrt(s+q)) + k/(rho sqrt(n))) (C1 sqrt(v) + C2),
     the VC bound's complexity term at that m."""
     # delta enters only the confidence term, so any value in (0, 1) will do
-    inputs = BoundInputs(k=k, rho=rho, delta=0.5, m=EpisodeShape(s, q).m(k), n=n, v=v, b=b, c0=c0)
-    return vc_transfer_bound(inputs, 0.0).complexity_term
+    return _vc_complexity(BoundInputs(k=k, rho=rho, delta=0.5, m=EpisodeShape(s, q).m(k), n=n, v=v, b=b, c0=c0))
 
 
 def sample_efficiency_min_m(epsilon: float, k: int, v: int, n: float, a: float) -> int:

@@ -18,18 +18,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
+from typing import get_type_hints
 
-from .bounds import (
-    BOUND_KINDS,
-    DEFAULT_C0,
-    BoundInputs,
-    covering_transfer_bound,
-    gaussian_transfer_bound,
-    kway_sshot_complexity_term,
-    surrogate_multimargin_bound,
-    vc_transfer_bound,
-)
+from .bounds import BOUND_KINDS, BoundInputs, kway_sshot_complexity_term, transfer_bound
 from .complexity import (
     FunctionValueMatrix,
     dudley_bound,
@@ -68,20 +60,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _cover(matrix: FunctionValueMatrix, args: argparse.Namespace) -> dict:
+    if args.eps is None:
+        raise ValueError("--estimator cover requires --eps")
+    centers, size = greedy_epsilon_cover(matrix, args.eps)
+    return {"eps": args.eps, "size": size, "centers": centers}
+
+
+# Each estimator's output fields, from the matrix and the flags. The lambdas look each function up
+# by its module-level name at call time, so a wrapped one sees every call.
+_ESTIMATORS = {
+    "gaussian": lambda matrix, args: asdict(gaussian_complexity_mc(matrix, args.draws, args.seed)),
+    "rademacher": lambda matrix, args: asdict(rademacher_complexity_mc(matrix, args.draws, args.seed)),
+    "massart": lambda matrix, args: {"value": massart_bound(matrix)},
+    "dudley": lambda matrix, args: {"levels": args.levels, "value": dudley_bound(matrix, args.levels)},
+    "entropy": lambda matrix, args: {"levels": args.levels, "value": entropy_integral(matrix, args.levels)},
+    "cover": _cover,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="metamargin")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate a transfer bound from flags")
     p_bound.add_argument("--kind", default="vc", choices=[*BOUND_KINDS, "kway_sshot"])
-    p_bound.add_argument("--k", type=int, required=True)
-    p_bound.add_argument("--rho", type=float, required=True)
-    p_bound.add_argument("--delta", type=float, default=0.1)
-    p_bound.add_argument("--m", type=int)
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--v", type=int, required=True)
-    p_bound.add_argument("--b", type=float, required=True)
-    p_bound.add_argument("--c0", type=float, default=DEFAULT_C0)
+    # one flag per BoundInputs field, of its type and default, except that --delta defaults to 0.1
+    # and --m is optional, since kway_sshot derives m from --s and --q
+    hints = get_type_hints(BoundInputs)
+    for field in fields(BoundInputs):
+        default = {"delta": 0.1, "m": None}.get(field.name, field.default)
+        p_bound.add_argument(f"--{field.name}", type=hints[field.name],
+                             **({"required": True} if default is MISSING else {"default": default}))
     p_bound.add_argument("--avg-loss", type=float, default=0.0,
                          help="average empirical loss (multi-margin for --kind surrogate)")
     p_bound.add_argument("--gamma-meta", type=float, default=0.0)
@@ -93,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="run a complexity estimator on a matrix CSV")
     p_est.add_argument("--input", required=True, help="function-value matrix CSV")
-    p_est.add_argument("--estimator", required=True,
-                       choices=["gaussian", "rademacher", "massart", "dudley", "entropy", "cover"])
+    p_est.add_argument("--estimator", required=True, choices=list(_ESTIMATORS))
     p_est.add_argument("--draws", type=int, default=2000)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--levels", type=int, default=12)
@@ -118,8 +127,6 @@ _PARSER = _build_parser()
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    kwargs = {"k": args.k, "rho": args.rho, "delta": args.delta, "n": args.n,
-              "v": args.v, "b": args.b, "c0": args.c0}
     if args.kind == "kway_sshot":
         if args.s is None or args.q is None:
             raise ValueError("--kind kway_sshot requires --s and --q")
@@ -129,39 +136,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         return 0
     if args.m is None:
         raise ValueError("--m is required for this bound kind")
-    inputs = BoundInputs(m=args.m, **kwargs)
-    if args.kind == "vc":
-        report = vc_transfer_bound(inputs, args.avg_loss)
-    elif args.kind == "surrogate":
-        report = surrogate_multimargin_bound(inputs, args.avg_loss)
-    elif args.kind == "gaussian":
-        report = gaussian_transfer_bound(inputs, args.avg_loss, args.gamma_meta, args.gamma_task)
-    else:
-        report = covering_transfer_bound(inputs, args.avg_loss, args.entropy_meta, args.entropy_task)
+    inputs = BoundInputs(**{field.name: getattr(args, field.name) for field in fields(BoundInputs)})
+    # --avg-loss is surrogate's multi-margin loss and the other kinds' ramp loss
+    report = transfer_bound(args.kind, inputs, avg_margin_loss=args.avg_loss, avg_multimargin_loss=args.avg_loss,
+                            gamma_meta=args.gamma_meta, gamma_task=args.gamma_task,
+                            entropy_meta=args.entropy_meta, entropy_task=args.entropy_task)
     _print_json(asdict(report))
     return 0
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     matrix = FunctionValueMatrix.from_csv(args.input)
-    if args.estimator in ("gaussian", "rademacher"):
-        fn = gaussian_complexity_mc if args.estimator == "gaussian" else rademacher_complexity_mc
-        est = fn(matrix, args.draws, args.seed)
-        _print_json({"estimator": args.estimator, **asdict(est)})
-    elif args.estimator == "massart":
-        _print_json({"estimator": "massart", "value": massart_bound(matrix)})
-    elif args.estimator == "dudley":
-        _print_json({"estimator": "dudley", "levels": args.levels,
-                     "value": dudley_bound(matrix, args.levels)})
-    elif args.estimator == "entropy":
-        _print_json({"estimator": "entropy", "levels": args.levels,
-                     "value": entropy_integral(matrix, args.levels)})
-    else:
-        if args.eps is None:
-            raise ValueError("--estimator cover requires --eps")
-        centers, size = greedy_epsilon_cover(matrix, args.eps)
-        _print_json({"estimator": "cover", "eps": args.eps,
-                     "size": size, "centers": centers})
+    _print_json({"estimator": args.estimator, **_ESTIMATORS[args.estimator](matrix, args)})
     return 0
 
 

@@ -273,6 +273,24 @@ def episode_restrictions(
     return out
 
 
+def _rescaled(A: FunctionValueMatrix) -> tuple[np.ndarray, int]:
+    """(A.values * 2**-e, e) for the least e >= 0 that brings every entry below 2**480, so that
+    a sum of squares of fewer than 2**62 entries stays finite. Every estimator is positively
+    homogeneous, so it is computed on these values and its result scaled back by 2**e, exactly.
+    The values are scanned only if b reaches 2**480, since every entry lies within b."""
+    if A.b < 2.0 ** 480:
+        return A.values, 0
+    e = math.frexp(max(float(A.values.max()), -float(A.values.min())))[1] - 480
+    return (A.values, 0) if e <= 0 else (np.ldexp(A.values, -e), e)
+
+
+def _scaled_back(value: float, e: int) -> float:
+    """value * 2**e, exact, or FloatingPointError if it overflows float64."""
+    if math.frexp(value)[1] + e > 1024:
+        raise FloatingPointError(f"estimate {value!r} * 2**{e} overflows float64")
+    return math.ldexp(value, e)
+
+
 def _mean_se(values) -> tuple[float, float]:
     """The mean of ``values`` and its standard error (0 for one value)."""
     v = np.asarray(values, dtype=np.float64)
@@ -280,8 +298,8 @@ def _mean_se(values) -> tuple[float, float]:
 
 
 def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, seed: int,
-                      gaussian: bool) -> ComplexityEstimate:
-    """Mean and standard error over draws of max_rows (2/n_points) <row, noise>,
+                      gaussian: bool, e: int) -> ComplexityEstimate:
+    """Mean and standard error over draws of max_rows (2/n_points) <row, noise> * 2**e,
     for the rows of vals and noise i.i.d. N(0, 1) or +-1 per column of vals,
     taken at most chunk draws at a time."""
     if draws < 2:
@@ -323,12 +341,13 @@ def _sup_linear_forms(vals: np.ndarray, n_points: int, chunk: int, draws: int, s
         done += take
         words = None  # freed before the next chunk's words are drawn
     sups *= 2.0 / n_points
-    return ComplexityEstimate(*_mean_se(sups), draws=draws)
+    return ComplexityEstimate(*(_scaled_back(x, e) for x in _mean_se(sups)), draws=draws)
 
 
 def _direct(A: FunctionValueMatrix, draws: int, seed: int, gaussian: bool) -> ComplexityEstimate:
     """One noise entry per (point, draw)."""
-    return _sup_linear_forms(A.values, A.n_points, max(1, _CHUNK_ELEMENTS // A.n_points), draws, seed, gaussian)
+    vals, e = _rescaled(A)
+    return _sup_linear_forms(vals, A.n_points, max(1, _CHUNK_ELEMENTS // A.n_points), draws, seed, gaussian, e)
 
 
 def gaussian_complexity_mc(A: FunctionValueMatrix, draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
@@ -350,12 +369,13 @@ def gaussian_complexity_rowspace(A: FunctionValueMatrix, draws: int = 2000, seed
     """
     if A.n_points <= A.n_functions:
         return gaussian_complexity_mc(A, draws, seed)
-    lam, vecs = np.linalg.eigh(A.values @ A.values.T)  # eigenvalues ascending
+    vals, e = _rescaled(A)
+    lam, vecs = np.linalg.eigh(vals @ vals.T)  # eigenvalues ascending
     r = max(1, int(np.count_nonzero(lam > 0)))
     factor = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
     # a chunk's (r, draws) noise and (N, draws) sums fit one noise slab together
     chunk = max(1, _NOISE_SLAB // (r + A.n_functions))
-    return _sup_linear_forms(factor, A.n_points, chunk, draws, seed, gaussian=True)
+    return _sup_linear_forms(factor, A.n_points, chunk, draws, seed, gaussian=True, e=e)
 
 
 def rademacher_complexity_mc(A: FunctionValueMatrix, draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
@@ -365,11 +385,11 @@ def rademacher_complexity_mc(A: FunctionValueMatrix, draws: int = 2000, seed: in
 
 def massart_bound(A: FunctionValueMatrix) -> float:
     """Finite-class bound: max_a ||a - abar|| * 2 sqrt(2 ln N) / M."""
-    vals = A.values
+    vals, e = _rescaled(A)
     n, m = vals.shape
     centered = vals - vals.mean(axis=0, keepdims=True)
     radius = float(np.linalg.norm(centered, axis=1).max())
-    return radius * 2.0 * math.sqrt(2.0 * math.log(n)) / m
+    return _scaled_back(radius * 2.0 * math.sqrt(2.0 * math.log(n)) / m, e)
 
 
 def _normalized_sq_dists(vals: np.ndarray) -> np.ndarray:
@@ -406,7 +426,8 @@ def greedy_epsilon_cover(A: FunctionValueMatrix, eps: float) -> tuple[list[int],
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    (centers,) = _greedy_covers(_normalized_sq_dists(A.values), [eps])
+    vals, e = _rescaled(A)
+    (centers,) = _greedy_covers(_normalized_sq_dists(vals), [math.ldexp(eps, -e)])
     return centers, len(centers)
 
 
@@ -427,7 +448,7 @@ def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
     # 2.0 ** -i rounds to 0.0 for every i >= 1075, so alpha_i = 0.0 there and each later
     # level adds +0.0: levels past 1074 cannot change the sum, and are not computed.
     levels = min(levels, 1074)
-    vals = A.values
+    vals, e = _rescaled(A)
     L = float(np.sqrt(np.einsum("ij,ij->i", vals, vals) / vals.shape[1]).max())
     d2 = _normalized_sq_dists(vals)
     total = 0.0
@@ -436,11 +457,14 @@ def entropy_integral(A: FunctionValueMatrix, levels: int) -> float:
         for alpha_i, centers in zip(alphas, _greedy_covers(d2, alphas)):
             if len(centers) > 1:
                 total += (alpha_i / 2.0) * math.sqrt(math.log(len(centers)))
-    return total
+    return _scaled_back(total, e)
 
 
 def dudley_bound(A: FunctionValueMatrix, levels: int) -> float:
     """Dudley's chaining bound on the Gaussian complexity of the rows:
     (24 / sqrt(M)) times ``entropy_integral``, so it inherits that sum's
     under-count."""
-    return 24.0 / math.sqrt(A.n_points) * entropy_integral(A, levels)
+    value = 24.0 / math.sqrt(A.n_points) * entropy_integral(A, levels)
+    if math.isinf(value):
+        raise FloatingPointError("Dudley bound overflows float64")
+    return value

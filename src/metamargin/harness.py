@@ -24,14 +24,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from .bounds import (
-    BOUND_KINDS,
-    BoundInputs,
-    covering_transfer_bound,
-    gaussian_transfer_bound,
-    surrogate_multimargin_bound,
-    vc_transfer_bound,
-)
+from .bounds import BOUND_KINDS, BoundInputs, transfer_bound
 from .complexity import (
     _mean_se,
     build_pi1f_restriction,
@@ -506,12 +499,10 @@ def _run_trial(trial: int, config: ExperimentConfig, family: FeatureFamily,
         unit.child(1), config.episode_shape,
     )
 
-    reports = {report.kind: report for report in (
-        vc_transfer_bound(bound, avg_margin),
-        gaussian_transfer_bound(bound, avg_margin, expected.gamma_meta, expected.gamma_task),
-        covering_transfer_bound(bound, avg_margin, expected.entropy_meta, expected.entropy_task),
-        surrogate_multimargin_bound(bound, avg_multi),
-    )}
+    reports = {kind: transfer_bound(kind, bound, avg_margin_loss=avg_margin, avg_multimargin_loss=avg_multi,
+                                    gamma_meta=expected.gamma_meta, gamma_task=expected.gamma_task,
+                                    entropy_meta=expected.entropy_meta, entropy_task=expected.entropy_task)
+               for kind in BOUND_KINDS}
 
     if config.episode_shape is not None:
         accuracy, _ = query_split_accuracy(

@@ -191,6 +191,21 @@ def test_criterion_06_bound_validity():
                   f"hold freqs {freqs}, {summary['failed_trials']} failed trials, {elapsed:.0f}s")
 
 
+def test_criterion_06_companion_gaussian_bound_is_not_vacuous():
+    # criterion 6's config makes every bound vacuous, so "holds" there is met by any total >= 1.
+    # An easier environment (k = 2, well separated classes) with n = 1000 tasks of s = 10 support
+    # and q = 40 query points per class gives the Gaussian bound a total below 1 that must still hold.
+    config = default_validity_config(
+        environment=mm.EnvironmentSpec(d_raw=16, k=2, prototype_scale=3.0, noise_sigma=1.0),
+        bound=mm.BoundInputs(k=2, rho=1.0, delta=0.1, m=100, n=1000, v=17, b=1.0),
+        episode_shape=(10, 40), trials=8, test_episodes=100, mc_draws=200, outer_task_draws=10)
+    rows, summary = bound_validity_experiment(config)
+    vacuous, holds = summary["vacuous_freq_gaussian"], summary["hold_freq_gaussian"]
+    ok = len(rows) == 8 and vacuous == 0 and holds >= 0.9
+    assert report(6, "non-vacuous Gaussian bound holds (6b)", ok,
+                  f"vacuous freq {vacuous}, hold freq {holds}, mean bound {summary['mean_bound_gaussian']:.4f}")
+
+
 def test_criterion_07a_accuracy_vs_n_trend():
     rows = sweep(sweep_config(), "n", [500, 2000, 8000])
     accs = [r.mean_test_accuracy for r in rows]

@@ -1,10 +1,14 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from metamargin.bounds import BOUND_KINDS
 from metamargin.cli import main
 from metamargin.complexity import FunctionValueMatrix
 
@@ -97,6 +101,23 @@ class TestBoundCommand:
         default = run()
         assert default == run("--c0", "2.718281828459045")
         assert default != run("--c0", "4")
+
+    def test_avg_loss_is_read_by_each_kind_as_its_own_loss(self, capsys):
+        # surrogate reads --avg-loss as a multi-margin loss (>= 0), the other kinds as a ramp loss in [0, 1]
+        argv = ["bound", "--k", "5", "--rho", "1", "--m", "100", "--n", "50", "--v", "17", "--b", "1",
+                "--avg-loss", "1.5"]
+        assert main(argv + ["--kind", "surrogate"]) == 0
+        assert json.loads(capsys.readouterr().out)["empirical_term"] == (5 - 1) * 1.5
+        for kind in ("vc", "gaussian", "covering"):
+            assert main(argv + ["--kind", kind]) == 2
+            assert capsys.readouterr() == ("", "error: average empirical margin loss must lie in [0, 1]\n")
+
+    def test_an_overflowing_bound_exits_3(self, capsys):
+        # rho = 1e-300 and b = 1e300 overflow the complexity term; no JSON Infinity is printed
+        assert main(["bound", "--k", "5", "--rho", "1e-300", "--m", "100", "--n", "50", "--v", "17",
+                     "--b", "1e300"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: non-finite value in output") and err.count("\n") == 1
 
 
 class TestEstimateCommand:
@@ -358,3 +379,70 @@ class TestSweepCommand:
             assert main(["sweep", "--config", cfg, "--axis", "n", "--values", values,
                          "--output", str(out)]) == 2
             assert not out.exists()
+
+
+def run_cli(argv):
+    """main(argv) in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exit_contract(code, out, err):
+    """Exit 0 prints strict JSON and nothing on stderr; exits 2 and 3 print
+    nothing on stdout and one stderr line. Returns the JSON on exit 0."""
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+        return None
+    assert err == ""
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in the JSON output")
+
+    return json.loads(out, parse_constant=reject)
+
+
+BOUND_FLAGS = {"--k": "5", "--rho": "1", "--delta": "0.1", "--m": "100", "--n": "50", "--v": "17",
+               "--b": "1", "--c0": "2", "--avg-loss": "0.1", "--gamma-meta": "0.01", "--gamma-task": "0.05",
+               "--entropy-meta": "0.2", "--entropy-task": "0.3", "--s": "5", "--q": "15"}
+ODD_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "1" + "0" * 400, "abc"]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(kind=st.sampled_from([*BOUND_KINDS, "kway_sshot"]), flag=st.sampled_from(sorted(BOUND_FLAGS)),
+       value=st.sampled_from(ODD_VALUES))
+def test_bound_keeps_the_exit_contract(kind, flag, value):
+    # --flag=value, so that argparse reads a negative value as a value
+    argv = ["bound", "--kind", kind, *(f"{name}={text}" for name, text in BOUND_FLAGS.items() if name != flag)]
+    payload = check_exit_contract(*run_cli(argv + [f"{flag}={value}"]))
+    if payload is not None and kind != "kway_sshot":
+        assert payload["total"] == payload["empirical_term"] + payload["confidence_term"] + payload["complexity_term"]
+
+
+@st.composite
+def odd_matrices(draw):
+    """A small matrix of one odd kind, and its bound b."""
+    kind = draw(st.sampled_from(["1x1", "constant rows", "duplicate rows", "huge", "tiny"]))
+    shape = (1, 1) if kind == "1x1" else (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))).reshape(shape)
+    if kind == "constant rows":
+        signs = np.repeat(signs[:, :1], shape[1], axis=1)
+    elif kind == "duplicate rows":
+        signs = np.vstack([signs, signs[::-1]])
+    b = {"huge": 1e300, "tiny": 1e-300}.get(kind, 1.0)
+    return signs * b, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix=odd_matrices(), estimator=st.sampled_from(["gaussian", "rademacher", "massart", "dudley",
+                                                         "entropy", "cover"]),
+       eps=st.sampled_from([1e-300, 0.1, 1.0, 1e300]))
+def test_estimate_keeps_the_exit_contract(tmp_path_factory, matrix, estimator, eps):
+    values, b = matrix
+    path = str(tmp_path_factory.getbasetemp() / "odd_matrix.csv")
+    FunctionValueMatrix(values=values, b=b).to_csv(path)
+    argv = ["estimate", "--input", path, "--estimator", estimator, "--draws", "20", "--eps", repr(eps * b)]
+    check_exit_contract(*run_cli(argv))

@@ -939,3 +939,55 @@ def test_sign_times_gaussian_is_gaussian():
     gamma = rng.standard_normal(100_000)
     result = scipy.stats.kstest(sigma * gamma, "norm")
     assert result.pvalue >= 0.001
+
+
+class TestHugeEntries:
+    """Entries of about 1e154 and up overflow a sum of squares; every estimator
+    computes on a power-of-two rescaling instead, or raises."""
+
+    @pytest.mark.parametrize("s", [1e154, 1e300])
+    def test_estimates_match_the_unit_matrix_times_s(self, s):
+        A = FunctionValueMatrix(values=np.array([[s, -s], [-s, s], [0.0, s]]), b=s)
+        unit = FunctionValueMatrix(values=A.values / s, b=1.0)
+        centers, size = greedy_epsilon_cover(A, 0.1 * s)
+        assert (centers, size) == greedy_epsilon_cover(unit, 0.1) == ([0, 1, 2], 3)
+        for estimate in (massart_bound, lambda M: entropy_integral(M, 12), lambda M: dudley_bound(M, 12)):
+            assert estimate(A) == pytest.approx(s * estimate(unit), rel=1e-12)
+            assert estimate(A) > 0
+        for mc in (gaussian_complexity_mc, rademacher_complexity_mc, gaussian_complexity_rowspace):
+            est, est_unit = mc(A, 50, 3), mc(unit, 50, 3)
+            assert est.mean == pytest.approx(s * est_unit.mean, rel=1e-12)
+            assert est.std_error == pytest.approx(s * est_unit.std_error, rel=1e-12)
+
+    def test_a_power_of_two_scales_every_estimate(self):
+        unit = FunctionValueMatrix(values=np.random.default_rng(5).uniform(-1, 1, (4, 6)), b=1.0)
+        huge = FunctionValueMatrix(values=np.ldexp(unit.values, 1000), b=2.0 ** 1000)
+        for eps in (0.3, 0.8):
+            assert greedy_epsilon_cover(huge, math.ldexp(eps, 1000)) == greedy_epsilon_cover(unit, eps)
+        for estimate in (massart_bound, lambda M: entropy_integral(M, 12), lambda M: dudley_bound(M, 12)):
+            assert estimate(huge) == math.ldexp(estimate(unit), 1000)
+        for mc in (gaussian_complexity_mc, rademacher_complexity_mc):
+            est, est_unit = mc(huge, 50, 3), mc(unit, 50, 3)
+            assert (est.mean, est.std_error) == (math.ldexp(est_unit.mean, 1000), math.ldexp(est_unit.std_error, 1000))
+        # eigh scales a Gram beyond its safe range by a factor that is not a power of two
+        est, est_unit = gaussian_complexity_rowspace(huge, 50, 3), gaussian_complexity_rowspace(unit, 50, 3)
+        assert est.mean == pytest.approx(math.ldexp(est_unit.mean, 1000), rel=1e-12)
+        assert est.std_error == pytest.approx(math.ldexp(est_unit.std_error, 1000), rel=1e-12)
+
+    def test_a_matrix_that_fits_keeps_its_small_entries(self):
+        # no sum of squares here overflows, so the matrix is not rescaled, and its two small
+        # rows, about 1.4e-70 apart, stay apart at eps 1e-71
+        A = FunctionValueMatrix(values=np.array([[1e100, 0.0], [0.0, 1e-70], [0.0, 3e-70]]), b=1e100)
+        assert greedy_epsilon_cover(A, 1e-71) == ([0, 1, 2], 3)
+
+    def test_an_estimate_beyond_float_range_raises(self, tmp_path, capsys):
+        top = 1.7e308
+        A = FunctionValueMatrix(values=np.array([[top, -top], [-top, top]]), b=top)
+        for estimate in (massart_bound, lambda M: dudley_bound(M, 5), lambda M: gaussian_complexity_mc(M, 50)):
+            with pytest.raises(FloatingPointError):
+                estimate(A)
+        path = str(tmp_path / "matrix.csv")
+        A.to_csv(path)
+        assert main(["estimate", "--input", path, "--estimator", "massart"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: ") and err.count("\n") == 1

@@ -158,8 +158,8 @@ class TestBoundValidity:
         assert [n for n in sweep_names if n.startswith("hold_freq_")] == [f"hold_freq_{kind}" for kind in BOUND_KINDS]
         # every bound of this config is vacuous; make one trial's Gaussian bound not
         totals = iter([0.5, 2.0])
-        gaussian = harness.gaussian_transfer_bound
-        monkeypatch.setattr(harness, "gaussian_transfer_bound",
+        gaussian = gaussian_transfer_bound
+        monkeypatch.setattr("metamargin.bounds.gaussian_transfer_bound",
                             lambda *args: replace(gaussian(*args), total=next(totals)))
         rows, summary = bound_validity_experiment(small_config(trials=2))
         assert list(summary) == [
