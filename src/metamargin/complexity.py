@@ -393,10 +393,24 @@ def massart_bound(A: FunctionValueMatrix) -> float:
 
 
 def _normalized_sq_dists(vals: np.ndarray) -> np.ndarray:
-    # Squared data-dependent L2 distances, (N, N); clipped at 0 for round-off.
+    # Squared data-dependent L2 distances, (N, N), expanded as sq_i + sq_j - 2 <v_i, v_j> and
+    # clipped at 0 for round-off. The expansion cancels for near rows (rows 1.4e-9 apart read 0),
+    # so an entry below 2^-20 (sq_i + sq_j) is recomputed from the rows' difference.
     sq = np.einsum("ij,ij->i", vals, vals)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (vals @ vals.T)
-    return np.maximum(d2, 0.0) / vals.shape[1]
+    total = sq[:, None] + sq[None, :]
+    d2 = vals @ vals.T
+    d2 *= -2.0
+    d2 += total
+    total *= 2.0 ** -20
+    np.fill_diagonal(total, -np.inf)  # the diagonal is never read
+    near = d2 < total
+    np.maximum(d2, 0.0, out=d2)
+    if near.any():
+        i, j = np.nonzero(near)
+        diff = vals[i] - vals[j]
+        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    d2 /= vals.shape[1]
+    return d2
 
 
 def _greedy_covers(d2: np.ndarray, scales) -> list[list[int]]:

@@ -330,6 +330,8 @@ def _draw_episodes(protos: np.ndarray, probs: np.ndarray, sigma: float, m: int,
     if shape is None:
         xs += protos[np.arange(n)[:, None], ys - 1]
     else:  # class-major blocks of s, then of q: each gets its prototype, with no gathered copy
+        # (one broadcast add into an (n, k, s, d) view of xs would not do: numpy copies a
+        # ufunc's output when it cannot cheaply prove the view free of self-overlap, as for q = 15)
         s, q = shape
         for c in range(k):
             xs[:, c * s:(c + 1) * s] += protos[:, c, None]

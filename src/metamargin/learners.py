@@ -146,15 +146,6 @@ def _onehot(ys: np.ndarray, k: int) -> np.ndarray:
     return (ys[..., None] == np.arange(1, k + 1)).astype(np.float64)
 
 
-def _check_linear(steps: int, lam: float, step_size: float, b: float) -> None:
-    """The hyperparameter checks both linear learners share."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not (0 < b < math.inf and 0 <= lam < math.inf and 0 <= step_size < math.inf):
-        raise ValueError(f"need finite b > 0 and finite lam, step_size >= 0; got b={b}, lam={lam}, "
-                         f"step_size={step_size}")
-
-
 def require_fitted(scorer):
     """``scorer`` (see ``BaseLearner``), unless its base-learner failed on
     some episode of the batch; then the learner's error is raised."""
@@ -232,7 +223,8 @@ class LinearScorer:
 
     def scores_matrix(self, xs: np.ndarray) -> np.ndarray:
         feats = _features(self.phi, xs)
-        return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
+        with np.errstate(over="ignore", invalid="ignore"):  # a failed episode's W may be non-finite
+            return np.clip(feats @ np.swapaxes(self.W, -1, -2), -self.b, self.b)
 
 
 # A base-learner fits every episode of a batch of n at once, with a frozen
@@ -282,78 +274,67 @@ def nearest_centroid_learn(batch: EpisodeBatch, phi: FeatureMap, b: float) -> Ce
     return CentroidScorer(centroids, scale, b, phi, failed=(counts == 0).any(axis=1))
 
 
-def linear_multimargin_learn(
-    batch: EpisodeBatch,
-    phi: FeatureMap,
-    rho: float,
-    lam: float,
-    steps: int,
-    step_size: float,
-    b: float,
-) -> LinearScorer:
-    """Train W by subgradient descent on multi-margin loss + lam ||W||^2,
-    on every episode of a batch at once.
-
-    W starts at zero so the learner is deterministic. The per-step
-    objective values are recorded on the returned scorer. An episode
-    whose objective or weights turn non-finite is flagged in
-    ``failed``.
-    """
-    _check_linear(steps, lam, step_size, b)
+def _descend(batch: EpisodeBatch, phi: FeatureMap, objective, lam: float, steps: int,
+             step_size: float, b: float) -> LinearScorer:
+    """Descend objective + lam ||W||^2 from W = 0, on every episode of a batch
+    at once. ``objective(feats, ys, onehot, W)`` returns the (n,) data losses
+    and a fresh (n, k, d) gradient of them. Each step's objective is recorded
+    on the scorer; an episode whose objective or weights turn non-finite is
+    flagged in ``failed``."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not (0 < b < math.inf and 0 <= lam < math.inf and 0 <= step_size < math.inf):
+        raise ValueError(f"need finite b > 0 and finite lam, step_size >= 0; got b={b}, lam={lam}, "
+                         f"step_size={step_size}")
     xs, ys = batch.support()
     feats = _features(phi, xs)
-    n, m, d = feats.shape
-    k = batch.k
-    onehot = _onehot(ys, k)
-    W = np.zeros((n, k, d))
+    n, _, d = feats.shape
+    onehot = _onehot(ys, batch.k)
+    W = np.zeros((n, batch.k, d))
     history = np.empty((steps, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            _, hinges = margin_terms(feats @ np.swapaxes(W, 1, 2), ys, rho)
-            history[t] = hinges.sum(axis=(1, 2)) / ((k - 1) * m) + lam * (W * W).sum(axis=(1, 2))
-            active = (hinges > 0).astype(np.float64)
-            # Competitor rows gain phi_i per active hinge; the true-class
-            # row loses phi_i once per active hinge of example i.
-            coef = active - onehot * active.sum(axis=2, keepdims=True)
-            grad = np.swapaxes(coef, 1, 2) @ feats
-            grad /= rho * (k - 1) * m
+            data_loss, grad = objective(feats, ys, onehot, W)
+            history[t] = data_loss + lam * (W * W).sum(axis=(1, 2))
             grad += 2.0 * lam * W
             W -= step_size * grad
     failed = ~np.isfinite(history).all(axis=0) | ~np.isfinite(W).all(axis=(1, 2))
     return LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed)
 
 
-def linear_softmax_learn(
-    batch: EpisodeBatch,
-    phi: FeatureMap,
-    lam: float,
-    steps: int,
-    step_size: float,
-    b: float,
-) -> LinearScorer:
+def linear_multimargin_learn(batch: EpisodeBatch, phi: FeatureMap, rho: float, lam: float, steps: int,
+                             step_size: float, b: float) -> LinearScorer:
+    """Train W by subgradient descent on multi-margin loss + lam ||W||^2,
+    on every episode of a batch at once (see ``_descend``)."""
+
+    def objective(feats, ys, onehot, W):
+        _, m, k = onehot.shape
+        _, hinges = margin_terms(feats @ np.swapaxes(W, 1, 2), ys, rho)
+        active = (hinges > 0).astype(np.float64)
+        # Competitor rows gain phi_i per active hinge; the true-class
+        # row loses phi_i once per active hinge of example i.
+        coef = active - onehot * active.sum(axis=2, keepdims=True)
+        grad = np.swapaxes(coef, 1, 2) @ feats
+        grad /= rho * (k - 1) * m
+        return hinges.sum(axis=(1, 2)) / ((k - 1) * m), grad
+
+    return _descend(batch, phi, objective, lam, steps, step_size, b)
+
+
+def linear_softmax_learn(batch: EpisodeBatch, phi: FeatureMap, lam: float, steps: int, step_size: float,
+                         b: float) -> LinearScorer:
     """Cross-entropy comparator: gradient descent on softmax NLL + L2, on
-    every episode of a batch at once. An episode whose objective or
-    weights turn non-finite is flagged in ``failed``."""
-    _check_linear(steps, lam, step_size, b)
-    xs, ys = batch.support()
-    feats = _features(phi, xs)
-    n, m, d = feats.shape
-    onehot = _onehot(ys, batch.k)
-    col = ys[..., None] - 1
-    W = np.zeros((n, batch.k, d))
-    history = np.empty((steps, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            scores = feats @ np.swapaxes(W, 1, 2)
-            scores -= scores.max(axis=2, keepdims=True)
-            expd = np.exp(scores)
-            probs = expd / expd.sum(axis=2, keepdims=True)
-            nll = -np.log(np.maximum(np.take_along_axis(probs, col, axis=2)[..., 0], 1e-300))
-            history[t] = nll.mean(axis=1) + lam * (W * W).sum(axis=(1, 2))
-            grad = np.swapaxes(probs - onehot, 1, 2) @ feats / m + 2.0 * lam * W
-            W -= step_size * grad
-    failed = ~np.isfinite(history).all(axis=0) | ~np.isfinite(W).all(axis=(1, 2))
-    return LinearScorer(W=W, b=b, phi=phi, loss_history=history, failed=failed)
+    every episode of a batch at once (see ``_descend``)."""
+
+    def objective(feats, ys, onehot, W):
+        scores = feats @ np.swapaxes(W, 1, 2)
+        scores -= scores.max(axis=2, keepdims=True)
+        expd = np.exp(scores)
+        probs = expd / expd.sum(axis=2, keepdims=True)
+        nll = -np.log(np.maximum(np.take_along_axis(probs, ys[..., None] - 1, axis=2)[..., 0], 1e-300))
+        return nll.mean(axis=1), np.swapaxes(probs - onehot, 1, 2) @ feats / feats.shape[1]
+
+    return _descend(batch, phi, objective, lam, steps, step_size, b)
 
 
 @dataclass(frozen=True, eq=False)

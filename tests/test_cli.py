@@ -1,16 +1,22 @@
+import copy
+import csv
+import functools
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metamargin.bounds import BOUND_KINDS
 from metamargin.cli import main
 from metamargin.complexity import FunctionValueMatrix
+from metamargin.harness import SWEEP_AXES, ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -446,3 +452,106 @@ def test_estimate_keeps_the_exit_contract(tmp_path_factory, matrix, estimator, e
     FunctionValueMatrix(values=values, b=b).to_csv(path)
     argv = ["estimate", "--input", path, "--estimator", estimator, "--draws", "20", "--eps", repr(eps * b)]
     check_exit_contract(*run_cli(argv))
+
+
+# Every key of ExperimentConfig, at sizes that run in milliseconds: 2 trials, 4-point episodes, 20 draws.
+TINY_RUN = {
+    "environment": {"d_raw": 3, "k": 2, "prototype_scale": 1.0, "noise_sigma": 1.0, "balanced": True},
+    "family": {"d": 3, "norm_cap": 1e6, "groups": [{"kind": "identity", "count": 1},
+                                                   {"kind": "random_relu", "count": 1}]},
+    "learner": {"kind": "linear_multimargin", "lam": 1e-3, "steps": 3, "step_size": 0.1},
+    "bound": {"k": 2, "rho": 1.0, "delta": 0.1, "m": 6, "n": 4, "v": 5, "b": 1.0, "c0": math.e},
+    "trials": 2, "test_points_per_task": 4, "outer_task_draws": 2, "outer_meta_draws": 1, "mc_draws": 20,
+    "dudley_levels": 3, "test_episodes": 4, "episode_shape": {"s": 1, "q": 2}, "loss_kind": "margin",
+    "seed": 1, "workers": 1, "record_timing": False,
+}
+# A number field's edge values, each drawn three times as often as a wrong type.
+EDGE_NUMBERS = [0, -1, 1e-300, 1e300, math.nan, 10 ** 400, 10 ** 19, 2 ** 64]
+WRONG_TYPES = [None, "x", True, [], {}]
+# Loop counts, for which a huge value is a valid long run, not an error: the fuzz keeps them small.
+LOOP_CAPS = {("trials",): 2, ("outer_meta_draws",): 2, ("workers",): 2, ("family", "groups", 0, "count"): 2}
+
+
+def config_paths(cls, prefix=()):
+    """(key path, type) of every field of dataclass ``cls``, nested ones
+    included; a tuple field's path goes on through its first item."""
+    hints = get_type_hints(cls)
+    for field in fields(cls):
+        path, tp = prefix + (field.name,), hints[field.name]
+        if get_origin(tp) is Union:  # Optional[X]
+            (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+        yield path, tp
+        if get_origin(tp) is tuple:
+            path, tp = path + (0,), get_args(tp)[0]
+            yield path, tp
+        if is_dataclass(tp):
+            yield from config_paths(tp, path)
+
+
+CONFIG_PATHS = sorted(config_paths(ExperimentConfig), key=repr)
+
+
+@st.composite
+def odd_configs(draw):
+    """TINY_RUN with one or two keys set to an edge number (number fields
+    only) or a wrong type, deleted, or joined by an unknown key."""
+    config = copy.deepcopy(TINY_RUN)
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+        path, tp = draw(st.sampled_from(CONFIG_PATHS))
+        edit = draw(st.sampled_from(["set"] * 8 + ["delete", "unknown"]))
+        cap = LOOP_CAPS.get(path, math.inf)
+        numbers = [v for v in EDGE_NUMBERS if not v > cap] if tp in (int, float) else []
+        value = draw(st.sampled_from(numbers * 3 + WRONG_TYPES))
+        try:
+            node = functools.reduce(lambda node, key: node[key], path[:-1], config)
+            if edit == "set":
+                node[path[-1]] = value
+            elif edit == "delete":
+                del node[path[-1]]
+            else:
+                node["unknown_key"] = 1
+        except (KeyError, IndexError, TypeError):
+            pass  # the first edit removed or replaced a parent of this path
+    return config
+
+
+def check_run_csv(path, command):
+    """Every cell of a run's CSV is finite, and each holds_* column follows
+    from its row: the risk is within 2 standard errors above the bound."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        for cell in row.values():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # text, or an empty cell of a sweep's error row
+            assert math.isfinite(value), row
+        if command == "simulate":
+            for kind in BOUND_KINDS:
+                risk, se, bound = (float(row[name]) for name in ("transfer_risk", "transfer_risk_se",
+                                                                 f"bound_{kind}"))
+                if not math.isclose(risk, bound + 2.0 * se, rel_tol=1e-8):  # cells keep 9 digits
+                    assert row[f"holds_{kind}"] == str(int(risk <= bound + 2.0 * se)), row
+
+
+@example(config=TINY_RUN, command="simulate", axis="n", values=["1"])
+# lam 1e300 makes every linear fit fail; scoring the failed fits once printed numpy warnings too
+@example(config={**TINY_RUN, "learner": {**TINY_RUN["learner"], "lam": 1e300}}, command="simulate",
+         axis="n", values=["1"])
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config=odd_configs(), command=st.sampled_from(["simulate", "sweep"]),
+       axis=st.sampled_from(SWEEP_AXES), values=st.lists(st.sampled_from(["1", "2", "-1", "1e300", "nan"]),
+                                                         min_size=1, max_size=2))
+def test_simulate_and_sweep_keep_the_exit_contract(tmp_path_factory, config, command, axis, values):
+    base = tmp_path_factory.getbasetemp()
+    config_path, output = base / "odd_config.json", base / "odd_run.csv"
+    config_path.write_text(json.dumps(config))
+    output.unlink(missing_ok=True)
+    argv = [command, "--config", str(config_path), "--output", str(output)]
+    if command == "sweep":
+        argv += ["--axis", axis, "--values=" + ",".join(values)]  # a value may start with "-"
+    if check_exit_contract(*run_cli(argv)) is not None:
+        check_run_csv(output, command)
+    else:  # so that the CSV checks run at all, the unedited run must succeed (compared as JSON: True == 1.0)
+        assert config_path.read_text() != json.dumps(TINY_RUN) or command != "simulate"

@@ -980,6 +980,12 @@ class TestHugeEntries:
         A = FunctionValueMatrix(values=np.array([[1e100, 0.0], [0.0, 1e-70], [0.0, 3e-70]]), b=1e100)
         assert greedy_epsilon_cover(A, 1e-71) == ([0, 1, 2], 3)
 
+    def test_rows_closer_than_the_expansion_resolves_stay_apart(self):
+        # sq_i + sq_j - 2 <v_i, v_j> reads 0 for these rows, 1.414e-9 apart
+        A = FunctionValueMatrix(values=np.array([[1.0, 0.0], [1.0, 2e-9]]), b=1.0)
+        assert greedy_epsilon_cover(A, 7e-10) == ([0, 1], 2)
+        assert entropy_integral(A, 40) > 0
+
     def test_an_estimate_beyond_float_range_raises(self, tmp_path, capsys):
         top = 1.7e308
         A = FunctionValueMatrix(values=np.array([[top, -top], [-top, top]]), b=top)

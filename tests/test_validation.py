@@ -29,10 +29,10 @@ INPUTS = BoundInputs(**BOUND)
 
 IDENTITY_2D = FeatureMap(id="identity", kind="identity", d=2)
 LINEAR_LEARNERS = {
-    "multimargin": lambda batch, lam, step_size: linear_multimargin_learn(
-        batch, IDENTITY_2D, 1.0, lam, 3, step_size, 1.0),
-    "softmax": lambda batch, lam, step_size: linear_softmax_learn(
-        batch, IDENTITY_2D, lam, 3, step_size, 1.0),
+    "multimargin": lambda batch, lam, step_size, steps=3: linear_multimargin_learn(
+        batch, IDENTITY_2D, 1.0, lam, steps, step_size, 1.0),
+    "softmax": lambda batch, lam, step_size, steps=3: linear_softmax_learn(
+        batch, IDENTITY_2D, lam, steps, step_size, 1.0),
 }
 TINY_BATCH = EpisodeBatch(np.array([[[-1.0, 0.0], [1.0, 0.0], [-2.0, 1.0], [2.0, 1.0]]]),
                           np.array([[1, 2, 1, 2]]), 2)
@@ -45,6 +45,13 @@ def test_linear_learners_reject_bad_hyperparameters(kind, field, bad):
     params = {"lam": 1e-3, "step_size": 0.1, field: bad}
     with pytest.raises(ValueError, match=field):
         LINEAR_LEARNERS[kind](TINY_BATCH, **params)
+
+
+@pytest.mark.parametrize("kind", sorted(LINEAR_LEARNERS))
+@pytest.mark.parametrize("steps", [0, -1])
+def test_linear_learners_reject_nonpositive_steps(kind, steps):
+    with pytest.raises(ValueError, match="steps"):
+        LINEAR_LEARNERS[kind](TINY_BATCH, lam=1e-3, step_size=0.1, steps=steps)
 
 
 @pytest.mark.parametrize("kind", sorted(LINEAR_LEARNERS))
