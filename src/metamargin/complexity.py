@@ -405,10 +405,13 @@ def _normalized_sq_dists(vals: np.ndarray) -> np.ndarray:
     np.fill_diagonal(total, -np.inf)  # the diagonal is never read
     near = d2 < total
     np.maximum(d2, 0.0, out=d2)
-    if near.any():
+    if near.any():  # many duplicate rows make many pairs: a slab of their differences at a time
         i, j = np.nonzero(near)
-        diff = vals[i] - vals[j]
-        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+        step = max(1, _NOISE_SLAB // vals.shape[1])
+        for lo in range(0, i.size, step):
+            rows, cols = i[lo:lo + step], j[lo:lo + step]
+            diff = vals[rows] - vals[cols]
+            d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
     d2 /= vals.shape[1]
     return d2
 

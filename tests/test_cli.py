@@ -488,7 +488,7 @@ def config_paths(cls, prefix=()):
             yield from config_paths(tp, path)
 
 
-CONFIG_PATHS = sorted(config_paths(ExperimentConfig), key=repr)
+CONFIG_PATHS = list(config_paths(ExperimentConfig))
 
 
 @st.composite

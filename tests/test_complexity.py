@@ -985,6 +985,10 @@ class TestHugeEntries:
         A = FunctionValueMatrix(values=np.array([[1.0, 0.0], [1.0, 2e-9]]), b=1.0)
         assert greedy_epsilon_cover(A, 7e-10) == ([0, 1], 2)
         assert entropy_integral(A, 40) > 0
+        # rows 1e-9 and 2e-9 apart, so wide that their 6 pairs' differences take 3 slabs
+        base = np.random.default_rng(0).uniform(-1, 1, 1 << 17)
+        wide = FunctionValueMatrix(values=base + np.array([[0.0], [1e-9], [2e-9]]), b=2.0)
+        assert greedy_epsilon_cover(wide, 5e-10) == ([0, 1, 2], 3)
 
     def test_an_estimate_beyond_float_range_raises(self, tmp_path, capsys):
         top = 1.7e308
